@@ -18,6 +18,22 @@ use phonoc_route::XyRouting;
 use phonoc_router::{RouterModel, RouterRegistry};
 use phonoc_topo::{fit_grid, Topology, TopologyKind};
 
+/// Escapes `s` for a JSON string literal: backslashes and double
+/// quotes. The bench reports' strings (ids, specs, command lines) hold
+/// no control characters.
+pub(crate) fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
+/// Whether a run given `--trace-out` should record its events: the flag
+/// was given and `PHONOC_TRACE_NULL` is unset. With the variable set
+/// the trace file is written header-only — the check that recording is
+/// opt-in.
+#[must_use]
+pub fn trace_recording(trace_out: Option<&String>) -> bool {
+    trace_out.is_some() && std::env::var_os("PHONOC_TRACE_NULL").is_none()
+}
+
 /// Default tile pitch used by every experiment (DESIGN.md §3).
 #[must_use]
 pub fn tile_pitch() -> Length {

@@ -22,6 +22,7 @@
 //! `scripts/bench_gate.py --parallel` holds `pool ≤ spawn` per cell
 //! (advisory) and on the median (fatal), and the crossover ordering.
 
+use crate::json_escape;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -393,10 +394,6 @@ pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), Str
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn opt_usize(v: Option<usize>) -> String {

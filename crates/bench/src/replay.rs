@@ -42,17 +42,19 @@
 //! assumed. The structural phase *does* move the objective, and its
 //! warm-vs-cold scores are recorded per cell.
 //!
-//! With `--trace-out PATH` the cache-mediated requests additionally
-//! stream `phonocmap-trace/1` events (warm lookups, per-round lane
-//! snapshots, per-request session summaries) into a JSONL trace file —
-//! the reference input for `phonocmap trace` and the CI trace gate.
-//! The cold reference runs stay untraced: the trace records the
-//! *request stream*, not the measurement scaffolding.
+//! Every cell also keeps the `phonocmap-trace/1` events of its
+//! cache-mediated requests (warm lookups, per-round lane snapshots,
+//! per-request session summaries; [`CellOutcome::trace`]), and
+//! `--trace-out PATH` writes them to a JSONL trace file — the reference
+//! input for `phonocmap trace` and the CI trace gate. The cold
+//! reference runs contribute no events: the trace records the *request
+//! stream*, not the measurement scaffolding.
 
 use crate::sweep::scenario_problem;
+use crate::{json_escape, trace_recording};
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_apps::TaskId;
-use phonoc_core::{render_trace, MappingProblem, NullSink, RunTrace, TraceSink};
+use phonoc_core::{render_trace, MappingProblem, TraceEvent};
 use phonoc_opt::{run_portfolio_seeded, PortfolioResult, PortfolioSpec, WarmCache, WarmSource};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,6 +185,8 @@ pub struct CellOutcome {
     /// reverting the mutation was an exact hit despite the re-added
     /// edge's new list position (canonical-key proof).
     pub return_exact_hit: bool,
+    /// Telemetry of the cache-mediated requests, in request order.
+    pub trace: Vec<TraceEvent>,
 }
 
 impl CellOutcome {
@@ -283,22 +287,6 @@ fn free_pair(problem: &MappingProblem) -> Option<(TaskId, TaskId)> {
 /// programming errors, not measurement outcomes.
 #[must_use]
 pub fn replay_cell(spec: &ScenarioSpec, cfg: &ReplayConfig) -> CellOutcome {
-    replay_cell_traced(spec, cfg, &mut NullSink)
-}
-
-/// [`replay_cell`] with a [`TraceSink`] receiving the telemetry of the
-/// four cache-mediated requests (the cold reference runs stay
-/// untraced). Passing [`NullSink`] is bit-identical to [`replay_cell`].
-///
-/// # Panics
-///
-/// Same as [`replay_cell`].
-#[must_use]
-pub fn replay_cell_traced(
-    spec: &ScenarioSpec,
-    cfg: &ReplayConfig,
-    sink: &mut dyn TraceSink,
-) -> CellOutcome {
     let pspec = PortfolioSpec::parse(REPLAY_PORTFOLIO).expect("replay spec parses");
     let mut problem = scenario_problem(spec);
     let tasks = problem.task_count();
@@ -313,7 +301,7 @@ pub fn replay_cell_traced(
 
     // Request 1: cold.
     let t = Instant::now();
-    let cold = cache.solve_traced(&problem, &pspec, cfg.budget, spec.seed, sink);
+    let cold = cache.solve(&problem, &pspec, cfg.budget, spec.seed);
     let cold_ms = t.elapsed().as_millis() as u64;
     assert_eq!(
         cold.source,
@@ -323,7 +311,7 @@ pub fn replay_cell_traced(
     );
 
     // Request 2: identical repeat — exact hit, zero evaluations.
-    let repeat = cache.solve_traced(&problem, &pspec, cfg.budget, spec.seed, sink);
+    let repeat = cache.solve(&problem, &pspec, cfg.budget, spec.seed);
     assert_eq!(repeat.source, WarmSource::ExactHit, "{}: repeat", spec.id());
 
     // Request 3: ≤10% weight perturbation (seeded off the cell).
@@ -337,7 +325,7 @@ pub fn replay_cell_traced(
         .expect("perturbation targets existing edges");
     let perturbed_cold = run_portfolio_seeded(&problem, &pspec, cfg.budget, spec.seed, None);
     let t = Instant::now();
-    let warm = cache.solve_traced(&problem, &pspec, cfg.budget, spec.seed, sink);
+    let warm = cache.solve(&problem, &pspec, cfg.budget, spec.seed);
     let warm_ms = t.elapsed().as_millis() as u64;
     let warm_shared_edges = match warm.source {
         WarmSource::NearHit { shared_edges, .. } => shared_edges,
@@ -360,7 +348,7 @@ pub fn replay_cell_traced(
         .add_edge(add_src, add_dst, mean_bw)
         .expect("the pair was free");
     let phase_cold = run_portfolio_seeded(&problem, &pspec, cfg.budget, spec.seed, None);
-    let phase = cache.solve_traced(&problem, &pspec, cfg.budget, spec.seed, sink);
+    let phase = cache.solve(&problem, &pspec, cfg.budget, spec.seed);
     let phase_source = match phase.source {
         WarmSource::ExactHit => "exact_hit",
         WarmSource::NearHit { .. } => "near_hit",
@@ -380,7 +368,7 @@ pub fn replay_cell_traced(
     problem
         .update_edge_bandwidths(&originals)
         .expect("restoring original weights");
-    let back = cache.solve_traced(&problem, &pspec, cfg.budget, spec.seed, sink);
+    let back = cache.solve(&problem, &pspec, cfg.budget, spec.seed);
 
     CellOutcome {
         spec: *spec,
@@ -405,27 +393,19 @@ pub fn replay_cell_traced(
         phase_score: phase.result.best_score,
         phase_cold_score: phase_cold.best_score,
         return_exact_hit: back.source == WarmSource::ExactHit && back.evaluations_spent == 0,
+        trace: [cold, repeat, warm, phase, back]
+            .into_iter()
+            .flat_map(|solve| solve.result.trace)
+            .collect(),
     }
 }
 
 /// Runs the whole replay, invoking `progress` after each cell.
 #[must_use]
-pub fn run_replay(cfg: &ReplayConfig, progress: impl FnMut(&CellOutcome)) -> ReplayReport {
-    run_replay_traced(cfg, progress, &mut NullSink)
-}
-
-/// [`run_replay`] with a [`TraceSink`] receiving every cell's
-/// cache-request telemetry (see [`replay_cell_traced`]). Passing
-/// [`NullSink`] is bit-identical to [`run_replay`].
-#[must_use]
-pub fn run_replay_traced(
-    cfg: &ReplayConfig,
-    mut progress: impl FnMut(&CellOutcome),
-    sink: &mut dyn TraceSink,
-) -> ReplayReport {
+pub fn run_replay(cfg: &ReplayConfig, mut progress: impl FnMut(&CellOutcome)) -> ReplayReport {
     let mut cells = Vec::new();
     for spec in &cfg.cells {
-        let outcome = replay_cell_traced(spec, cfg, sink);
+        let outcome = replay_cell(spec, cfg);
         progress(&outcome);
         cells.push(outcome);
     }
@@ -442,8 +422,7 @@ pub fn run_replay_traced(
 /// `--out PATH` and `--trace-out PATH`, runs the replay with live
 /// progress, prints the warm-start summary and writes the JSON (plus,
 /// with `--trace-out`, the `phonocmap-trace/1` JSONL trace — or a
-/// header-only trace when `PHONOC_TRACE_NULL` is set, proving the
-/// disabled sink records nothing).
+/// header-only trace when `PHONOC_TRACE_NULL` is set).
 ///
 /// # Errors
 ///
@@ -469,12 +448,7 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
     }
     let out = flag("--out").unwrap_or_else(|| "BENCH_warmstart.json".into());
     let trace_out = flag("--trace-out");
-    let mut trace_sink: Box<dyn TraceSink> =
-        if trace_out.is_some() && std::env::var_os("PHONOC_TRACE_NULL").is_none() {
-            Box::new(RunTrace::new())
-        } else {
-            Box::new(NullSink)
-        };
+    let record = trace_recording(trace_out.as_ref());
 
     println!(
         "warm-start replay ({} mode): {} cells, budget {} per request, portfolio `{}`\n",
@@ -487,25 +461,21 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
         "{:<26} {:>6} {:>10} {:>6} {:>10} {:>10} {:>8} {:>7}",
         "cell", "edges", "cold", "hit", "warm", "parity", "ratio", "return"
     );
-    let report = run_replay_traced(
-        &cfg,
-        |c| {
-            println!(
-                "{:<26} {:>6} {:>10.4} {:>6} {:>10.4} {:>10} {:>8} {:>7}",
-                c.id,
-                c.edges,
-                c.cold_score,
-                c.exact_hit_evaluations,
-                c.warm_score,
-                c.parity_evaluations
-                    .map_or_else(|| "never".into(), |e| e.to_string()),
-                c.parity_ratio()
-                    .map_or_else(|| "-".into(), |r| format!("{r:.3}")),
-                if c.return_exact_hit { "hit" } else { "MISS" },
-            );
-        },
-        trace_sink.as_mut(),
-    );
+    let report = run_replay(&cfg, |c| {
+        println!(
+            "{:<26} {:>6} {:>10.4} {:>6} {:>10.4} {:>10} {:>8} {:>7}",
+            c.id,
+            c.edges,
+            c.cold_score,
+            c.exact_hit_evaluations,
+            c.warm_score,
+            c.parity_evaluations
+                .map_or_else(|| "never".into(), |e| e.to_string()),
+            c.parity_ratio()
+                .map_or_else(|| "-".into(), |r| format!("{r:.3}")),
+            if c.return_exact_hit { "hit" } else { "MISS" },
+        );
+    });
     println!(
         "\nexact-hit requests at zero evaluations: {}",
         if report.all_exact_hits_zero() {
@@ -524,16 +494,16 @@ pub fn run_replay_cli(args: &[String], command_prefix: &str) -> Result<(), Strin
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     if let Some(path) = trace_out {
-        let events = trace_sink.drain();
+        let events: Vec<TraceEvent> = if record {
+            report.cells.into_iter().flat_map(|c| c.trace).collect()
+        } else {
+            Vec::new()
+        };
         std::fs::write(&path, render_trace("replay", &events))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path} ({} events)", events.len());
     }
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the report as the `phonocmap-bench-warmstart/2` JSON
@@ -725,6 +695,7 @@ mod tests {
             collapsed: None,
             lanes: Vec::new(),
             stats: phonoc_core::RunStats::default(),
+            trace: Vec::new(),
         };
         assert_eq!(evaluations_to_reach(&result, 2.0), Some(20));
         assert_eq!(evaluations_to_reach(&result, 3.0), Some(32));

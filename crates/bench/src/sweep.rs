@@ -37,7 +37,7 @@
 //! uploads it as an artifact (`scripts/bench_gate.py` compares the two
 //! advisorily).
 
-use crate::tile_pitch;
+use crate::{json_escape, tile_pitch};
 use phonoc_apps::scenario::{ScenarioMatrix, ScenarioSpec};
 use phonoc_core::{
     DeltaScratch, EvalScratch, Mapping, MappingProblem, Move, Objective, PeekCostModel,
@@ -769,10 +769,6 @@ pub fn run_sweep_cli(args: &[String], command_prefix: &str) -> Result<(), String
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders the report as the `phonocmap-bench-sweep/8` JSON document

@@ -68,9 +68,10 @@
 //! [`NeighborhoodPolicy`], an [`Objective`] override (applied via
 //! [`OptContext::set_objective`] *before* any evaluation, so a
 //! session's scores are always on one scale), and a seed-start
-//! [`Mapping`]. The former `run_dse_with_strategy` /
-//! `run_dse_with_policy` / `run_dse_configured` / `run_dse_session`
-//! wrappers are deprecated shims over the same path.
+//! [`Mapping`], and the [`DseConfig::trace`] switch that records the
+//! session's [`TraceEvent`] stream into [`DseResult::trace`]. Code that
+//! drives a context itself (the exact lane's certificate search) builds
+//! it with [`OptContext::configured`], the same configuration step.
 //!
 //! # The adaptive (hybrid) evaluation strategy
 //!
@@ -150,19 +151,18 @@
 //! Every routing, bounding and improvement decision the context makes
 //! is counted in a [`RunStats`] ledger (always on — integer increments
 //! in the same sequential code that keeps the evaluation counters, so
-//! they are deterministic at any worker count) and, when a recording
-//! [`TraceSink`] is installed with [`OptContext::set_trace_sink`],
-//! additionally emitted as a typed [`TraceEvent`]. The default
-//! [`NullSink`] reports itself disabled, so
-//! emission sites skip event construction entirely and results are
-//! bit-identical with and without a recorder (property-pinned in
-//! `tests/telemetry_properties.rs`). [`run_dse_traced`] is the
-//! one-call traced entry point; [`DseResult::stats`] carries the
-//! counter snapshot either way. See [`crate::telemetry`] for the event
-//! taxonomy, the determinism contract (counters and event streams
-//! deterministic, wall-clock timings advisory and outside the trace)
-//! and the reconciliation identities tying the route counters to the
-//! evaluation ledger.
+//! they are deterministic at any worker count) and, when
+//! [`DseConfig::trace`] is set, additionally recorded as a typed
+//! [`TraceEvent`] into a plain vector the context owns. With the
+//! switch off the context holds no vector, emission sites skip event
+//! construction entirely, and results are bit-identical either way
+//! (property-pinned in `tests/telemetry_properties.rs`).
+//! [`DseResult::trace`] carries the recorded events (empty when off)
+//! and [`DseResult::stats`] the counter snapshot. See
+//! [`crate::telemetry`] for the event taxonomy, the determinism
+//! contract (counters and event streams deterministic, wall-clock
+//! timings advisory and outside the trace) and the reconciliation
+//! identities tying the route counters to the evaluation ledger.
 //!
 //! Optimizers implement [`MappingOptimizer`] (the trait lives here in the
 //! core so that new strategies can be added "without any changes in the
@@ -182,7 +182,7 @@ use crate::evaluator::{
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
 use crate::problem::{MappingProblem, Objective};
-use crate::telemetry::{NullSink, PeekRoute, RunStats, RunTrace, TraceEvent, TraceSink};
+use crate::telemetry::{PeekRoute, RunStats, TraceEvent};
 use phonoc_phys::Db;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -481,9 +481,9 @@ pub struct OptContext<'p> {
     /// two ledger mirrors (`full_evaluations` / `delta_evaluations`)
     /// are filled from the fields above at snapshot time.
     stats: RunStats,
-    /// Where trace events go — [`NullSink`] (disabled) unless a
-    /// recorder was installed with [`OptContext::set_trace_sink`].
-    sink: Box<dyn TraceSink>,
+    /// The event recorder: `Some` while the session records its trace
+    /// ([`DseConfig::trace`]), `None` when emission is off.
+    trace: Option<Vec<TraceEvent>>,
     /// Reused buffers for full evaluations: after warm-up,
     /// [`OptContext::evaluate`] performs no heap allocation.
     full_scratch: EvalScratch,
@@ -528,10 +528,31 @@ impl<'p> OptContext<'p> {
             policy: NeighborhoodPolicy::default(),
             seed_start: None,
             stats: RunStats::default(),
-            sink: Box::new(NullSink),
+            trace: None,
             full_scratch: EvalScratch::default(),
             spare_scratch: DeltaScratch::default(),
         }
+    }
+
+    /// A fresh context with every [`DseConfig`] knob applied — the
+    /// configuration step [`run_dse`] runs, for callers that drive the
+    /// context themselves and then [`OptContext::finish`] it.
+    #[must_use]
+    pub fn configured(problem: &'p MappingProblem, config: &DseConfig) -> Self {
+        let mut ctx = OptContext::new(problem, config.budget, config.seed);
+        if let Some(objective) = config.objective {
+            ctx.set_objective(objective)
+                .expect("a fresh context has not evaluated yet");
+        }
+        ctx.set_peek_strategy(config.strategy);
+        ctx.set_neighborhood_policy(config.policy);
+        if let Some(start) = &config.start {
+            ctx.set_seed_start(start.clone());
+        }
+        if config.trace {
+            ctx.trace = Some(Vec::new());
+        }
+        ctx
     }
 
     /// Re-arms the context for a fresh session on `problem` — the
@@ -552,11 +573,11 @@ impl<'p> OptContext<'p> {
     /// the same misuse warning as a finished session (see
     /// [`OptContext::seed_start_pending`]).
     ///
-    /// Peek strategy, neighbourhood policy and the installed
-    /// [`TraceSink`] persist across resets — they configure the
-    /// engine, not one run. Decision counters ([`OptContext::stats`])
-    /// reset with the rest of the run state; drain a recording sink
-    /// before resetting if its events should be kept per session.
+    /// Peek strategy, neighbourhood policy and the trace switch
+    /// persist across resets — they configure the engine, not one run.
+    /// Decision counters ([`OptContext::stats`]) and any events not yet
+    /// taken by [`OptContext::finish`] reset with the rest of the run
+    /// state.
     ///
     /// [`Evaluator`]: crate::Evaluator
     pub fn reset_for(&mut self, problem: &'p MappingProblem, budget: usize, seed: u64) {
@@ -576,6 +597,9 @@ impl<'p> OptContext<'p> {
         self.history.clear();
         self.seed_start = None;
         self.stats = RunStats::default();
+        if let Some(events) = &mut self.trace {
+            events.clear();
+        }
     }
 
     /// The objective every evaluation and peek scores under — the
@@ -757,38 +781,14 @@ impl<'p> OptContext<'p> {
         true
     }
 
-    /// Builds and records `event` only when a recording sink is
-    /// installed — the zero-cost-when-off hook every emission site
-    /// goes through.
+    /// Builds and records `event` only while the session records its
+    /// trace — the zero-cost-when-off hook every emission site goes
+    /// through.
     #[inline]
     fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.sink.enabled() {
-            let ev = event();
-            self.sink.record(ev);
+        if let Some(events) = &mut self.trace {
+            events.push(event());
         }
-    }
-
-    /// Installs the sink subsequent events are recorded into
-    /// (replacing the default disabled [`NullSink`]). Installing a
-    /// recorder never changes scores, evaluation counts or RNG draws —
-    /// only whether decisions are *also* emitted as [`TraceEvent`]s
-    /// (bit-identity is property-pinned in
-    /// `tests/telemetry_properties.rs`).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = sink;
-    }
-
-    /// Whether a recording sink is installed (events are being
-    /// emitted).
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.enabled()
-    }
-
-    /// Takes the recorded events out of the installed sink (empty for
-    /// the default [`NullSink`]).
-    pub fn drain_trace(&mut self) -> Vec<TraceEvent> {
-        self.sink.drain()
     }
 
     /// Snapshot of the session's decision counters, with the ledger
@@ -1597,7 +1597,8 @@ impl<'p> OptContext<'p> {
 
     /// Extracts the finished session's [`DseResult`] while keeping the
     /// context alive for reuse — pair with [`OptContext::reset_for`] to
-    /// run a request stream through one context. Logs the unconsumed-
+    /// run a request stream through one context. The recorded events,
+    /// if any, move into [`DseResult::trace`]. Logs the unconsumed-
     /// seed-start warning if applicable.
     ///
     /// # Panics
@@ -1629,6 +1630,7 @@ impl<'p> OptContext<'p> {
             delta_evaluations: self.delta_evaluations,
             history: std::mem::take(&mut self.history),
             stats,
+            trace: self.trace.as_mut().map(std::mem::take).unwrap_or_default(),
         }
     }
 }
@@ -1669,12 +1671,17 @@ pub struct DseResult {
     /// Decision counters for the session (route mix, bound rejections,
     /// neighbourhood stream, improvements) — see [`crate::telemetry`].
     pub stats: RunStats,
+    /// The session's event stream, ready for
+    /// [`crate::telemetry::render_trace`] — empty unless
+    /// [`DseConfig::trace`] was set. Byte-reproducible per
+    /// `(problem, config)` at any worker count.
+    pub trace: Vec<TraceEvent>,
 }
 
 /// Everything a single search session is configured with — budget,
 /// seed, peek routing, neighbourhood policy, objective override, seeded
-/// start — built fluently and handed to [`run_dse`], the one search
-/// entry point:
+/// start, trace recording — built fluently and handed to [`run_dse`],
+/// the one search entry point:
 ///
 /// ```ignore
 /// let result = run_dse(&problem, &Rpbla, &DseConfig::new(2_000, 42));
@@ -1690,7 +1697,7 @@ pub struct DseResult {
 ///
 /// `DseConfig::new(budget, seed)` is exactly the classic defaults:
 /// hybrid peeks, auto neighbourhood, the problem's own objective, a
-/// random starting point. A config is plain data (`Clone`), so sweeps
+/// random starting point, no trace. A config is plain data (`Clone`), so sweeps
 /// can build one base config and vary a field per cell.
 #[derive(Debug, Clone, Default)]
 pub struct DseConfig {
@@ -1710,6 +1717,11 @@ pub struct DseConfig {
     /// call hands out — the elite-exchange hook portfolio lanes resume
     /// through. `None` keeps the classic random start.
     pub start: Option<Mapping>,
+    /// Record the session's [`TraceEvent`] stream into
+    /// [`DseResult::trace`]. Recording never changes scores, evaluation
+    /// counts or RNG draws; off (the default), emission sites build
+    /// nothing.
+    pub trace: bool,
 }
 
 impl DseConfig {
@@ -1776,132 +1788,9 @@ pub fn run_dse(
     optimizer: &dyn MappingOptimizer,
     config: &DseConfig,
 ) -> DseResult {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
-    apply_config(&mut ctx, config);
+    let mut ctx = OptContext::configured(problem, config);
     optimizer.optimize(&mut ctx);
     ctx.finish(optimizer.name())
-}
-
-/// [`run_dse`] with a recording [`RunTrace`] installed: the same
-/// session bit for bit (scores, evaluation counts, RNG draws — the
-/// recorder is invisible to the search; property-pinned in
-/// `tests/telemetry_properties.rs`), plus the drained [`TraceEvent`]
-/// stream, ready for [`crate::telemetry::render_trace`]. The stream is
-/// byte-reproducible per `(problem, config)` at any worker count.
-///
-/// # Panics
-///
-/// Same contract as [`run_dse`].
-#[must_use]
-pub fn run_dse_traced(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    config: &DseConfig,
-) -> (DseResult, Vec<TraceEvent>) {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
-    ctx.set_trace_sink(Box::new(RunTrace::new()));
-    apply_config(&mut ctx, config);
-    optimizer.optimize(&mut ctx);
-    let result = ctx.finish(optimizer.name());
-    let events = ctx.drain_trace();
-    (result, events)
-}
-
-/// The shared configuration step of [`run_dse`] / [`run_dse_traced`]:
-/// applies every [`DseConfig`] knob to a fresh context.
-fn apply_config(ctx: &mut OptContext<'_>, config: &DseConfig) {
-    if let Some(objective) = config.objective {
-        ctx.set_objective(objective)
-            .expect("a fresh context has not evaluated yet");
-    }
-    ctx.set_peek_strategy(config.strategy);
-    ctx.set_neighborhood_policy(config.policy);
-    if let Some(start) = &config.start {
-        ctx.set_seed_start(start.clone());
-    }
-}
-
-/// Deprecated spelling of [`run_dse`] with an explicit
-/// [`PeekStrategy`].
-#[deprecated(note = "use run_dse(problem, optimizer, \
-                     &DseConfig::new(budget, seed).with_strategy(strategy))")]
-#[must_use]
-pub fn run_dse_with_strategy(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    strategy: PeekStrategy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed).with_strategy(strategy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] with an explicit
-/// [`NeighborhoodPolicy`].
-#[deprecated(note = "use run_dse(problem, optimizer, \
-                     &DseConfig::new(budget, seed).with_policy(policy))")]
-#[must_use]
-pub fn run_dse_with_policy(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    policy: NeighborhoodPolicy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed).with_policy(policy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] with explicit strategy and
-/// policy.
-#[deprecated(note = "use run_dse(problem, optimizer, &DseConfig::new(budget, seed)\
-                     .with_strategy(strategy).with_policy(policy))")]
-#[must_use]
-pub fn run_dse_configured(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    strategy: PeekStrategy,
-    policy: NeighborhoodPolicy,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig::new(budget, seed)
-            .with_strategy(strategy)
-            .with_policy(policy),
-    )
-}
-
-/// Deprecated spelling of [`run_dse`] taking budget and seed beside the
-/// config (they now live *in* [`DseConfig`]).
-#[deprecated(note = "use run_dse(problem, optimizer, &config) with \
-                     DseConfig::new(budget, seed)")]
-#[must_use]
-pub fn run_dse_session(
-    problem: &MappingProblem,
-    optimizer: &dyn MappingOptimizer,
-    budget: usize,
-    seed: u64,
-    config: DseConfig,
-) -> DseResult {
-    run_dse(
-        problem,
-        optimizer,
-        &DseConfig {
-            budget,
-            seed,
-            ..config
-        },
-    )
 }
 
 #[cfg(test)]
@@ -2042,61 +1931,6 @@ mod tests {
         // Exhausted contexts admit nothing and charge nothing.
         assert!(!ctx.charge_bound(1));
         assert_eq!(ctx.delta_evaluations(), calls);
-    }
-
-    /// The four `#[deprecated]` `run_dse_*` shims must stay *shims*:
-    /// every field of their result — mapping, score bits, budget
-    /// accounting, history — bit-identical to the equivalent
-    /// `run_dse(problem, optimizer, &DseConfig)` call.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate_bit_identically() {
-        let p = tiny_problem();
-        let (budget, seed) = (23, 5);
-        let strategy = PeekStrategy::Delta;
-        let policy = NeighborhoodPolicy::Sampled;
-        let assert_same = |shim: DseResult, config: &DseConfig| {
-            let direct = run_dse(&p, &FirstRandom, config);
-            assert_eq!(shim.optimizer, direct.optimizer);
-            assert_eq!(shim.best_mapping, direct.best_mapping);
-            assert_eq!(shim.best_score.to_bits(), direct.best_score.to_bits());
-            assert_eq!(shim.evaluations, direct.evaluations);
-            assert_eq!(shim.full_evaluations, direct.full_evaluations);
-            assert_eq!(shim.delta_evaluations, direct.delta_evaluations);
-            assert_eq!(shim.history.len(), direct.history.len());
-            for ((si, ss), (di, ds)) in shim.history.iter().zip(&direct.history) {
-                assert_eq!(si, di);
-                assert_eq!(ss.to_bits(), ds.to_bits());
-            }
-        };
-        assert_same(
-            run_dse_with_strategy(&p, &FirstRandom, budget, seed, strategy),
-            &DseConfig::new(budget, seed).with_strategy(strategy),
-        );
-        assert_same(
-            run_dse_with_policy(&p, &FirstRandom, budget, seed, policy),
-            &DseConfig::new(budget, seed).with_policy(policy),
-        );
-        assert_same(
-            run_dse_configured(&p, &FirstRandom, budget, seed, strategy, policy),
-            &DseConfig::new(budget, seed)
-                .with_strategy(strategy)
-                .with_policy(policy),
-        );
-        // `run_dse_session` overlays budget and seed onto a config that
-        // carries the other knobs (including an objective override).
-        let session_config = DseConfig::new(0, 0)
-            .with_strategy(strategy)
-            .with_policy(policy)
-            .with_objective(Objective::by_name("power").unwrap());
-        assert_same(
-            run_dse_session(&p, &FirstRandom, budget, seed, session_config.clone()),
-            &DseConfig {
-                budget,
-                seed,
-                ..session_config
-            },
-        );
     }
 
     #[test]

@@ -43,10 +43,11 @@
 //! * [`parallel`] — the deterministic fork–join primitive behind batch
 //!   evaluation (std-thread based; no external dependencies; tiny
 //!   batches stay on the caller thread via a per-worker chunk floor).
-//! * [`telemetry`] — structured run traces: the [`telemetry::TraceSink`]
-//!   recorder every [`engine::OptContext`] carries (disabled
-//!   [`telemetry::NullSink`] by default — bit-identical results either
-//!   way), the always-on [`telemetry::RunStats`] decision counters
+//! * [`telemetry`] — structured run traces: the
+//!   [`telemetry::TraceEvent`] stream a session records when
+//!   [`engine::DseConfig::trace`] is set (off by default —
+//!   bit-identical results either way), the always-on
+//!   [`telemetry::RunStats`] decision counters
 //!   (peek route mix, bound rejections, neighbourhood stream, portfolio
 //!   rounds, warm-cache hits, exact-lane prunes), and the
 //!   `phonocmap-trace/1` JSONL format with its renderer, parser and
@@ -131,11 +132,9 @@ pub mod telemetry;
 
 pub use analysis::{analyze, EdgeReport, LaserReport, NetworkReport, SourceLaserReport};
 pub use engine::{
-    run_dse, run_dse_traced, DseConfig, DseResult, MappingOptimizer, MoveEval, NeighborhoodPolicy,
-    OptContext, PeekStrategy,
+    run_dse, DseConfig, DseResult, MappingOptimizer, MoveEval, NeighborhoodPolicy, OptContext,
+    PeekStrategy,
 };
-#[allow(deprecated)]
-pub use engine::{run_dse_configured, run_dse_session, run_dse_with_policy, run_dse_with_strategy};
 pub use error::CoreError;
 pub use evaluator::bound::{CertificateBound, LowerBound};
 pub use evaluator::{
@@ -147,20 +146,19 @@ pub use montecarlo::{activity_study, ActivityStudy};
 pub use pareto::{random_front, ParetoFront, ParetoPoint};
 pub use problem::{MappingProblem, Objective};
 pub use telemetry::{
-    parse_trace, render_trace, summarize_trace, NullSink, PeekRoute, RunStats, RunTrace,
-    TraceEvent, TraceHeader, TraceSink, WarmOutcome, TRACE_SCHEMA,
+    parse_trace, render_trace, summarize_trace, PeekRoute, RunStats, TraceEvent, TraceHeader,
+    WarmOutcome, TRACE_SCHEMA,
 };
 
-/// Convenient glob import for downstream code and examples.
+/// Convenient glob import for downstream code and examples: the one
+/// search entry point ([`run_dse`] with its [`DseConfig`], whose
+/// `trace` switch fills [`DseResult::trace`]), the context optimizers
+/// drive, the evaluator, and the telemetry types a result carries.
 pub mod prelude {
     pub use crate::analysis::{analyze, NetworkReport};
     pub use crate::engine::{
-        run_dse, run_dse_traced, DseConfig, DseResult, MappingOptimizer, MoveEval,
-        NeighborhoodPolicy, OptContext, PeekStrategy,
-    };
-    #[allow(deprecated)]
-    pub use crate::engine::{
-        run_dse_configured, run_dse_session, run_dse_with_policy, run_dse_with_strategy,
+        run_dse, DseConfig, DseResult, MappingOptimizer, MoveEval, NeighborhoodPolicy, OptContext,
+        PeekStrategy,
     };
     pub use crate::error::CoreError;
     pub use crate::evaluator::bound::{CertificateBound, LowerBound};
@@ -172,5 +170,5 @@ pub mod prelude {
     pub use crate::montecarlo::{activity_study, ActivityStudy};
     pub use crate::pareto::{random_front, ParetoFront};
     pub use crate::problem::{MappingProblem, Objective};
-    pub use crate::telemetry::{NullSink, RunStats, RunTrace, TraceEvent, TraceSink};
+    pub use crate::telemetry::{RunStats, TraceEvent};
 }

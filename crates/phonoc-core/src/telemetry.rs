@@ -10,11 +10,14 @@
 //!   keeps unconditionally (an increment per decision, the same cost
 //!   class as the existing evaluation counters), snapshotted into
 //!   [`DseResult::stats`] and aggregated across portfolio lanes.
-//! * [`TraceEvent`] — the typed event stream, emitted only when a
-//!   recording [`TraceSink`] is installed. The default [`NullSink`]
-//!   reports itself disabled, so every emission site skips even the
-//!   event construction; results are bit-identical with and without a
-//!   recorder (property-pinned in `tests/telemetry_properties.rs`).
+//! * [`TraceEvent`] — the typed event stream. A single session records
+//!   it only when [`DseConfig::trace`] is set (the context then keeps a
+//!   plain `Vec<TraceEvent>`; off, every emission site skips even the
+//!   event construction) and returns it in [`DseResult::trace`].
+//!   Portfolio and warm-cache runs emit a handful of round-granularity
+//!   events per run and always return them in `PortfolioResult::trace`.
+//!   Results are bit-identical with and without recording
+//!   (property-pinned in `tests/telemetry_properties.rs`).
 //! * The JSONL trace format, schema [`TRACE_SCHEMA`]: one header line,
 //!   then one flat JSON object per event — written by [`render_trace`],
 //!   parsed back by [`parse_trace`], analyzed by [`summarize_trace`]
@@ -64,6 +67,8 @@
 //!
 //! [`OptContext`]: crate::OptContext
 //! [`DseResult::stats`]: crate::DseResult::stats
+//! [`DseResult::trace`]: crate::DseResult::trace
+//! [`DseConfig::trace`]: crate::DseConfig::trace
 
 use std::fmt::Write as _;
 
@@ -450,76 +455,6 @@ pub enum TraceEvent {
     },
 }
 
-/// Where an [`OptContext`](crate::OptContext) sends its events. The
-/// engine consults [`TraceSink::enabled`] before constructing an event,
-/// so a disabled sink costs one virtual call per emission site and
-/// nothing else.
-pub trait TraceSink: Send {
-    /// Whether events should be constructed and recorded at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event. Only called when [`TraceSink::enabled`] is
-    /// `true`.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Takes the recorded events out of the sink (recording sinks
-    /// only; the default returns nothing).
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// The default sink: permanently disabled, records nothing. Installing
-/// it is free (`Box<NullSink>` allocates nothing for a zero-sized
-/// type), and every emission site short-circuits on
-/// [`TraceSink::enabled`] before building its event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// The in-memory recorder: appends every event to a vector, in
-/// emission order. Install with
-/// [`OptContext::set_trace_sink`](crate::OptContext::set_trace_sink)
-/// (or run through [`run_dse_traced`](crate::run_dse_traced)), drain
-/// when the session ends.
-#[derive(Debug, Clone, Default)]
-pub struct RunTrace {
-    events: Vec<TraceEvent>,
-}
-
-impl RunTrace {
-    /// An empty recorder.
-    #[must_use]
-    pub fn new() -> RunTrace {
-        RunTrace::default()
-    }
-
-    /// The events recorded so far.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-}
-
-impl TraceSink for RunTrace {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
 /// The parsed header line of a JSONL trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -529,7 +464,7 @@ pub struct TraceHeader {
     /// `"replay"`, …).
     pub source: String,
     /// Number of event lines that follow. `0` is a valid trace — a run
-    /// with the sink off records nothing.
+    /// with recording off records nothing.
     pub events: usize,
 }
 
@@ -1307,31 +1242,5 @@ mod tests {
         // 2 delta peek events vs a counter of 10: mismatch.
         let err = summarize_trace(&header, &events).unwrap_err();
         assert!(err.contains("disagree"), "{err}");
-    }
-
-    #[test]
-    fn null_sink_is_disabled_and_drains_nothing() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(TraceEvent::Widened { radius: 1 });
-        assert!(sink.drain().is_empty());
-    }
-
-    #[test]
-    fn run_trace_records_in_order_and_drains_once() {
-        let mut sink = RunTrace::new();
-        assert!(sink.enabled());
-        sink.record(TraceEvent::Widened { radius: 1 });
-        sink.record(TraceEvent::Narrowed { radius: 2 });
-        assert_eq!(sink.events().len(), 2);
-        let drained = sink.drain();
-        assert_eq!(
-            drained,
-            vec![
-                TraceEvent::Widened { radius: 1 },
-                TraceEvent::Narrowed { radius: 2 }
-            ]
-        );
-        assert!(sink.drain().is_empty());
     }
 }

@@ -1,11 +1,11 @@
-//! Telemetry contract properties at the engine layer: a recording
-//! [`TraceSink`](phonoc_core::TraceSink) must be **invisible** to the
-//! search (bit-identical scores, evaluation counts and RNG draws at
-//! every worker count), the recorded event stream must be
-//! byte-reproducible per seed, the JSONL codec must round-trip exactly
-//! (score bits are the authority, the derived `score` field is
-//! decoration), and the default [`NullSink`](phonoc_core::NullSink)
-//! must record nothing.
+//! Telemetry contract properties at the engine layer: trace recording
+//! ([`DseConfig::trace`](phonoc_core::DseConfig::trace)) must be
+//! **invisible** to the search (bit-identical scores, evaluation counts
+//! and RNG draws at every worker count), the recorded event stream must
+//! be byte-reproducible per seed, the JSONL codec must round-trip
+//! exactly (score bits are the authority, the derived `score` field is
+//! decoration), and a session with recording off (the default) must
+//! record nothing.
 //!
 //! The worker override is process-global, so the worker-count tests
 //! serialize on one mutex and restore the default before releasing it
@@ -13,8 +13,8 @@
 
 use phonoc_core::parallel::set_worker_override;
 use phonoc_core::{
-    parse_trace, render_trace, run_dse, run_dse_traced, summarize_trace, DseConfig, Mapping,
-    MappingOptimizer, MappingProblem, Move, Objective, OptContext, TraceEvent,
+    parse_trace, render_trace, run_dse, summarize_trace, DseConfig, Mapping, MappingOptimizer,
+    MappingProblem, Move, Objective, OptContext, TraceEvent,
 };
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -98,7 +98,15 @@ impl MappingOptimizer for GreedyProbe {
     }
 }
 
-/// Digest of everything a run reports that the sink must not touch.
+/// `config` with trace recording switched on.
+fn recording(config: &DseConfig) -> DseConfig {
+    DseConfig {
+        trace: true,
+        ..config.clone()
+    }
+}
+
+/// Digest of everything a run reports that recording must not touch.
 fn fingerprint(result: &phonoc_core::DseResult) -> (u64, usize, usize, usize, Vec<(usize, u64)>) {
     (
         result.best_score.to_bits(),
@@ -114,7 +122,7 @@ fn fingerprint(result: &phonoc_core::DseResult) -> (u64, usize, usize, usize, Ve
 }
 
 #[test]
-fn recording_sink_is_invisible_at_every_worker_count() {
+fn trace_recording_is_invisible_at_every_worker_count() {
     let _pin = pin();
     let p = problem(4, 200, 3);
     let config = DseConfig::new(600, 42);
@@ -124,7 +132,7 @@ fn recording_sink_is_invisible_at_every_worker_count() {
     for workers in [1usize, 2, 4] {
         set_worker_override(Some(workers));
         let untraced = run_dse(&p, &GreedyProbe, &config);
-        let (traced, events) = run_dse_traced(&p, &GreedyProbe, &config);
+        let traced = run_dse(&p, &GreedyProbe, &recording(&config));
         assert_eq!(
             fingerprint(&untraced),
             fingerprint(&reference),
@@ -133,14 +141,15 @@ fn recording_sink_is_invisible_at_every_worker_count() {
         assert_eq!(
             fingerprint(&traced),
             fingerprint(&reference),
-            "recording sink changed the search @ {workers} workers"
+            "trace recording changed the search @ {workers} workers"
         );
+        assert!(untraced.trace.is_empty(), "recording is off by default");
         // The always-on counters agree between the two paths too.
         assert_eq!(untraced.stats, traced.stats);
         assert!(untraced.stats.reconciles());
         // The event stream itself is worker-count invariant, byte for
         // byte once rendered.
-        let rendered = render_trace("test", &events);
+        let rendered = render_trace("test", &traced.trace);
         match &reference_trace {
             None => reference_trace = Some(rendered),
             Some(reference) => assert_eq!(
@@ -156,17 +165,18 @@ fn event_streams_are_reproducible_per_seed() {
     for seed in [1u64, 7, 23] {
         let p = problem(4, 180, seed);
         let config = DseConfig::new(400, seed);
-        let (first, first_events) = run_dse_traced(&p, &GreedyProbe, &config);
-        let (second, second_events) = run_dse_traced(&p, &GreedyProbe, &config);
+        let first = run_dse(&p, &GreedyProbe, &recording(&config));
+        let second = run_dse(&p, &GreedyProbe, &recording(&config));
         assert_eq!(fingerprint(&first), fingerprint(&second), "seed {seed}");
         assert_eq!(
-            render_trace("test", &first_events),
-            render_trace("test", &second_events),
+            render_trace("test", &first.trace),
+            render_trace("test", &second.trace),
             "event stream not reproducible for seed {seed}"
         );
         // Different seeds exercise a non-trivial stream.
         assert!(
-            first_events
+            first
+                .trace
                 .iter()
                 .any(|e| matches!(e, TraceEvent::SessionEnd { .. })),
             "every traced run ends with a session summary"
@@ -177,7 +187,7 @@ fn event_streams_are_reproducible_per_seed() {
 #[test]
 fn jsonl_codec_round_trips_exactly() {
     let p = problem(4, 220, 11);
-    let (_, events) = run_dse_traced(&p, &GreedyProbe, &DseConfig::new(500, 9));
+    let events = run_dse(&p, &GreedyProbe, &recording(&DseConfig::new(500, 9))).trace;
     let rendered = render_trace("optimize", &events);
     let (header, parsed) = parse_trace(&rendered).expect("own output parses");
     assert_eq!(header.schema, phonoc_core::TRACE_SCHEMA);
@@ -193,13 +203,13 @@ fn jsonl_codec_round_trips_exactly() {
 }
 
 #[test]
-fn null_sink_records_nothing_and_is_the_default() {
+fn recording_is_off_by_default_and_records_nothing() {
     let p = problem(4, 200, 5);
+    assert!(!DseConfig::new(200, 7).trace, "tracing must be opt-in");
     let mut ctx = OptContext::new(&p, 200, 7);
-    assert!(!ctx.trace_enabled(), "tracing must be opt-in");
     GreedyProbe.optimize(&mut ctx);
     let result = ctx.finish("greedy-probe");
-    assert!(ctx.drain_trace().is_empty(), "NullSink must record nothing");
+    assert!(result.trace.is_empty(), "recording off must record nothing");
     // The always-on counters still filled in and reconcile.
     assert!(result.stats.reconciles());
     assert_eq!(result.stats.full_evaluations, result.full_evaluations);

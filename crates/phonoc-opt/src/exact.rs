@@ -39,20 +39,20 @@
 //!
 //! The search feeds the [`phonoc_core::telemetry`] layer through
 //! [`OptContext::note_exact_search`]: node and leaf totals land in the
-//! session's [`RunStats`](phonoc_core::RunStats), and a recording sink
-//! additionally receives one `exact_summary` event plus one
-//! `exact_cuts` event per non-empty depth of the **bound-cut
-//! histogram** — [`Certificate::cut_depths`], counting at each
-//! assignment depth how many subtrees the admissible bound pruned.
-//! Deep cuts are cheap (small subtrees), shallow cuts are where the
-//! bound earns its keep; the histogram makes that visible per run.
-//! [`prove_traced`] returns the event stream alongside the
-//! certificate; tracing never changes the search (counters are
+//! session's [`RunStats`](phonoc_core::RunStats), and a session with
+//! [`DseConfig::trace`] set additionally records one `exact_summary`
+//! event plus one `exact_cuts` event per non-empty depth of the
+//! **bound-cut histogram** — [`Certificate::cut_depths`], counting at
+//! each assignment depth how many subtrees the admissible bound
+//! pruned. Deep cuts are cheap (small subtrees), shallow cuts are
+//! where the bound earns its keep; the histogram makes that visible
+//! per run. [`prove`] returns the event stream in the certificate's
+//! `result.trace`; tracing never changes the search (counters are
 //! deterministic, events carry integers only).
 
 use phonoc_core::{
     CertificateBound, DseConfig, DseResult, LowerBound, Mapping, MappingOptimizer, MappingProblem,
-    Objective, OptContext, RunTrace, TraceEvent,
+    Objective, OptContext,
 };
 use phonoc_topo::TileId;
 
@@ -78,13 +78,7 @@ impl MappingOptimizer for ExactSearch {
     }
 
     fn optimize(&self, ctx: &mut OptContext<'_>) {
-        let mut stats = SearchStats::default();
-        branch_and_bound(ctx, &mut stats);
-        ctx.note_exact_search(
-            stats.nodes as usize,
-            stats.leaves as usize,
-            &stats.cut_depths,
-        );
+        search(ctx);
     }
 }
 
@@ -146,66 +140,33 @@ impl SearchStats {
 /// must evaluate at least one mapping).
 #[must_use]
 pub fn prove(problem: &MappingProblem, config: &DseConfig) -> Certificate {
-    prove_inner(problem, config, false).0
-}
-
-/// [`prove`] with a recording trace: returns the certificate plus the
-/// `phonocmap-trace/1` event stream of the run (`exact_summary`,
-/// `exact_cuts` per depth, `session_end` — see the [module
-/// docs](self#telemetry)). The certificate is bit-identical to what
-/// [`prove`] returns for the same `(problem, config)`.
-///
-/// # Panics
-///
-/// Same as [`prove`].
-#[must_use]
-pub fn prove_traced(
-    problem: &MappingProblem,
-    config: &DseConfig,
-) -> (Certificate, Vec<TraceEvent>) {
-    prove_inner(problem, config, true)
-}
-
-fn prove_inner(
-    problem: &MappingProblem,
-    config: &DseConfig,
-    traced: bool,
-) -> (Certificate, Vec<TraceEvent>) {
-    let mut ctx = OptContext::new(problem, config.budget, config.seed);
-    if traced {
-        ctx.set_trace_sink(Box::new(RunTrace::new()));
-    }
-    if let Some(objective) = config.objective {
-        ctx.set_objective(objective)
-            .expect("a fresh context has not evaluated yet");
-    }
-    ctx.set_peek_strategy(config.strategy);
-    ctx.set_neighborhood_policy(config.policy);
-    if let Some(start) = &config.start {
-        ctx.set_seed_start(start.clone());
-    }
+    let mut ctx = OptContext::configured(problem, config);
     let root_bound = root_bound(problem, ctx.objective());
+    let (proved, stats) = search(&mut ctx);
+    let result = ctx.finish("exact");
+    Certificate {
+        root_bound,
+        gap_db: root_bound - result.best_score,
+        proved,
+        nodes: stats.nodes,
+        leaves: stats.leaves,
+        cut_depths: stats.cut_depths,
+        result,
+    }
+}
+
+/// Runs the bounded search on `ctx` and reports its node, leaf and cut
+/// totals to the context's telemetry. Returns whether optimality was
+/// proved, with the search statistics.
+fn search(ctx: &mut OptContext<'_>) -> (bool, SearchStats) {
     let mut stats = SearchStats::default();
-    let proved = branch_and_bound(&mut ctx, &mut stats);
+    let proved = branch_and_bound(ctx, &mut stats);
     ctx.note_exact_search(
         stats.nodes as usize,
         stats.leaves as usize,
         &stats.cut_depths,
     );
-    let result = ctx.finish("exact");
-    let events = ctx.drain_trace();
-    (
-        Certificate {
-            root_bound,
-            gap_db: root_bound - result.best_score,
-            proved,
-            nodes: stats.nodes,
-            leaves: stats.leaves,
-            cut_depths: stats.cut_depths,
-            result,
-        },
-        events,
-    )
+    (proved, stats)
 }
 
 /// The admissible instance-wide score bound on its own — cheap for

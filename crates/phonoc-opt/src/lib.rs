@@ -177,15 +177,15 @@ pub mod tabu;
 pub mod warm;
 
 pub use annealing::SimulatedAnnealing;
-pub use exact::{prove, prove_traced, root_bound};
+pub use exact::{prove, root_bound};
 pub use exact::{Certificate, ExactSearch};
 pub use exhaustive::Exhaustive;
 pub use genetic::{Crossover, GeneticAlgorithm};
 pub use ils::IteratedLocalSearch;
 pub use neighborhood::{admitted_moves, scan_quota, Neighborhood};
 pub use portfolio::{
-    run_portfolio, run_portfolio_seeded, run_portfolio_seeded_traced, BudgetLedger, ExchangePolicy,
-    LaneOutcome, LaneSpec, PortfolioResult, PortfolioSpec,
+    run_portfolio, run_portfolio_seeded, BudgetLedger, ExchangePolicy, LaneOutcome, LaneSpec,
+    PortfolioResult, PortfolioSpec,
 };
 pub use random_search::RandomSearch;
 pub use registry::{

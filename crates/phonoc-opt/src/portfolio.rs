@@ -74,14 +74,13 @@
 //! # Telemetry
 //!
 //! Portfolio runs participate in the [`phonoc_core::telemetry`] layer
-//! at round granularity: [`run_portfolio_seeded_traced`] takes a
-//! [`TraceSink`] and emits one `lane_round`
-//! event per funded `(round, lane)` cell (allotment, spend, the lane's
-//! session score, whether it restarted from a seeded incumbent), a
-//! `collapse` event when dominance collapse fires, and a closing
-//! aggregate `session_end`. Lane sessions themselves run with the
-//! disabled [`NullSink`] — their decision
-//! counters still flow up: every lane's
+//! at round granularity, always: [`PortfolioResult::trace`] holds one
+//! `lane_round` event per funded `(round, lane)` cell (allotment,
+//! spend, the lane's session score, whether it restarted from a seeded
+//! incumbent), a `collapse` event when dominance collapse fires, and a
+//! closing aggregate `session_end` — at most `rounds × lanes + 2`
+//! events, so there is no switch. Lane sessions themselves run
+//! untraced, but their decision counters still flow up: every lane's
 //! [`RunStats`] is absorbed into
 //! [`PortfolioResult::stats`] in the same fixed lane-order reduction
 //! as the incumbents, so the aggregate (and the trace) is
@@ -94,8 +93,8 @@
 use crate::registry;
 use phonoc_core::parallel::parallel_map_tasks;
 use phonoc_core::{
-    run_dse, DseConfig, Mapping, MappingProblem, NeighborhoodPolicy, NullSink, Objective,
-    PeekStrategy, RunStats, TraceEvent, TraceSink,
+    run_dse, DseConfig, Mapping, MappingProblem, NeighborhoodPolicy, Objective, PeekStrategy,
+    RunStats, TraceEvent,
 };
 use std::fmt;
 use std::fmt::Write as _;
@@ -540,18 +539,17 @@ pub struct PortfolioResult {
     /// executed, collapse count — see the [module
     /// docs](self#telemetry)). Bit-identical at any worker count.
     pub stats: RunStats,
+    /// The run's round-granularity event stream (see the [module
+    /// docs](self#telemetry)), byte-reproducible per seed at any worker
+    /// count.
+    pub trace: Vec<TraceEvent>,
 }
 
 /// One lane's inputs for one round — a pure value, so the lane can run
 /// on any worker thread.
 struct LaneRun {
     algo: String,
-    policy: NeighborhoodPolicy,
-    strategy: PeekStrategy,
-    objective: Option<Objective>,
-    budget: usize,
-    seed: u64,
-    start: Option<Mapping>,
+    config: DseConfig,
 }
 
 /// Runs `spec` on `problem` with a global evaluation `budget` and RNG
@@ -595,28 +593,6 @@ pub fn run_portfolio_seeded(
     seed: u64,
     warm_start: Option<&Mapping>,
 ) -> PortfolioResult {
-    run_portfolio_seeded_traced(problem, spec, budget, seed, warm_start, &mut NullSink)
-}
-
-/// [`run_portfolio_seeded`] with a [`TraceSink`] receiving the
-/// round-granularity events described in the [module
-/// docs](self#telemetry). Passing [`NullSink`] is bit-identical to
-/// [`run_portfolio_seeded`] (it *is* that function), and the sink
-/// never influences the race: lane sessions run untraced, and events
-/// are emitted from the fixed lane-order reduction only.
-///
-/// # Panics
-///
-/// Same as [`run_portfolio`].
-#[must_use]
-pub fn run_portfolio_seeded_traced(
-    problem: &MappingProblem,
-    spec: &PortfolioSpec,
-    budget: usize,
-    seed: u64,
-    warm_start: Option<&Mapping>,
-    sink: &mut dyn TraceSink,
-) -> PortfolioResult {
     let n = spec.lanes.len();
     assert!(n > 0, "portfolio needs at least one lane");
     assert!(budget > 0, "portfolio needs a budget");
@@ -637,6 +613,7 @@ pub fn run_portfolio_seeded_traced(
     // Aggregate decision counters, absorbed lane by lane in the fixed
     // reduction below — never inside the parallel step.
     let mut stats = RunStats::default();
+    let mut trace = Vec::new();
 
     for round in 0..rounds {
         // Performance-weighted allocation: the lane holding the global
@@ -674,7 +651,6 @@ pub fn run_portfolio_seeded_traced(
             })
             .collect();
 
-        let seeded_flags: Vec<bool> = starts.iter().map(Option::is_some).collect();
         let runs: Vec<LaneRun> = spec
             .lanes
             .iter()
@@ -682,12 +658,13 @@ pub fn run_portfolio_seeded_traced(
             .enumerate()
             .map(|(lane, (ls, start))| LaneRun {
                 algo: ls.algo.clone(),
-                policy: ls.policy,
-                strategy: ls.strategy,
-                objective: ls.objective,
-                budget: allot[lane],
-                seed: lane_round_seed(seed, lane, round),
-                start,
+                config: DseConfig {
+                    strategy: ls.strategy,
+                    policy: ls.policy,
+                    objective: ls.objective,
+                    start,
+                    ..DseConfig::new(allot[lane], lane_round_seed(seed, lane, round))
+                },
             })
             .collect();
 
@@ -695,23 +672,12 @@ pub fn run_portfolio_seeded_traced(
         // function of its LaneRun, and results come back in lane
         // order — bit-identical at any worker count.
         let results = parallel_map_tasks(&runs, |run| {
-            if run.budget == 0 {
+            if run.config.budget == 0 {
                 return None;
             }
             let (optimizer, _) =
                 registry::optimizer_spec(&run.algo).expect("lane specs are validated at parse");
-            Some(run_dse(
-                problem,
-                optimizer.as_ref(),
-                &DseConfig {
-                    budget: run.budget,
-                    seed: run.seed,
-                    strategy: run.strategy,
-                    policy: run.policy,
-                    objective: run.objective,
-                    start: run.start.clone(),
-                },
-            ))
+            Some(run_dse(problem, optimizer.as_ref(), &run.config))
         });
 
         // Fixed lane→result reduction.
@@ -723,16 +689,14 @@ pub fn run_portfolio_seeded_traced(
             full_evals[lane] += result.full_evaluations;
             delta_evals[lane] += result.delta_evaluations;
             stats.absorb(&result.stats);
-            if sink.enabled() {
-                sink.record(TraceEvent::LaneRound {
-                    round,
-                    lane,
-                    allotted: allot[lane],
-                    used: result.evaluations,
-                    score_bits: result.best_score.to_bits(),
-                    seeded: seeded_flags[lane],
-                });
-            }
+            trace.push(TraceEvent::LaneRound {
+                round,
+                lane,
+                allotted: allot[lane],
+                used: result.evaluations,
+                score_bits: result.best_score.to_bits(),
+                seeded: runs[lane].config.start.is_some(),
+            });
             let improves = incumbents[lane]
                 .as_ref()
                 .is_none_or(|(_, s)| result.best_score > *s);
@@ -761,12 +725,10 @@ pub fn run_portfolio_seeded_traced(
                     if count >= k {
                         collapsed = Some((lane, round));
                         stats.collapses += 1;
-                        if sink.enabled() {
-                            sink.record(TraceEvent::CollapseFired {
-                                round,
-                                survivor: lane,
-                            });
-                        }
+                        trace.push(TraceEvent::CollapseFired {
+                            round,
+                            survivor: lane,
+                        });
                     }
                 }
             }
@@ -794,14 +756,12 @@ pub fn run_portfolio_seeded_traced(
                 .unwrap_or(f64::NEG_INFINITY),
         })
         .collect();
-    if sink.enabled() {
-        sink.record(TraceEvent::SessionEnd {
-            stats,
-            spent: ledger.total_used(),
-            budget: ledger.total_allotted(),
-            score_bits: best_score.to_bits(),
-        });
-    }
+    trace.push(TraceEvent::SessionEnd {
+        stats,
+        spent: ledger.total_used(),
+        budget: ledger.total_allotted(),
+        score_bits: best_score.to_bits(),
+    });
     PortfolioResult {
         spec: spec.canonical(),
         exchange: spec.exchange,
@@ -815,6 +775,7 @@ pub fn run_portfolio_seeded_traced(
         collapsed,
         lanes,
         stats,
+        trace,
     }
 }
 

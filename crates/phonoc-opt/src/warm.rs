@@ -51,24 +51,21 @@
 //!
 //! # Telemetry
 //!
-//! [`WarmCache::solve_traced`] participates in the
-//! [`phonoc_core::telemetry`] layer: every request emits one
-//! `warm_lookup` event (exact hit / near hit / cold, plus the donor's
-//! shared directed endpoints on a near hit) before any search runs,
-//! and non-exact requests then stream the portfolio's own
-//! round-granularity events into the same sink via
-//! [`crate::run_portfolio_seeded_traced`]. The returned result's
+//! [`WarmCache::solve`] participates in the [`phonoc_core::telemetry`]
+//! layer: the returned result's `trace` opens with one `warm_lookup`
+//! event (exact hit / near hit / cold, plus the donor's shared directed
+//! endpoints on a near hit), and non-exact requests follow it with the
+//! portfolio's own round-granularity events. The result's
 //! [`RunStats`](phonoc_core::RunStats) additionally records how *this*
-//! request was satisfied in its `warm_*` counters (the stored cache
-//! entry keeps the pure run counters, so replays of an exact hit stay
-//! bit-identical to the original run). Tracing never changes cache
-//! keys, hit classification or results — the sink observes the
-//! decisions the untraced path already makes.
+//! request was satisfied in its `warm_*` counters. Stored cache entries
+//! keep the pure run counters and no trace, so an exact hit replays the
+//! original run bit for bit, returns only its own `warm_lookup` event,
+//! and the cache holds no more memory than its results need. Events
+//! only observe the decisions the cache makes; they never change keys,
+//! hit classification or results.
 
-use crate::portfolio::{run_portfolio_seeded_traced, PortfolioResult, PortfolioSpec};
-use phonoc_core::{
-    Mapping, MappingProblem, NullSink, Objective, TraceEvent, TraceSink, WarmOutcome,
-};
+use crate::portfolio::{run_portfolio_seeded, PortfolioResult, PortfolioSpec};
+use phonoc_core::{Mapping, MappingProblem, Objective, TraceEvent, WarmOutcome};
 use std::collections::HashMap;
 
 /// The architecture-and-physics half of a request's identity: what has
@@ -327,7 +324,10 @@ impl WarmCache {
     /// Solves `(problem, spec, budget, seed)` through the cache: exact
     /// hits return the stored result with zero evaluations; otherwise
     /// the request runs (seeded by the best same-family elite when one
-    /// exists) and is stored for future requests.
+    /// exists) and is stored for future requests. The returned result's
+    /// `trace` records the lookup and, for requests that actually run,
+    /// the portfolio's round events (see the [module
+    /// docs](self#telemetry)).
     ///
     /// # Panics
     ///
@@ -339,37 +339,15 @@ impl WarmCache {
         budget: usize,
         seed: u64,
     ) -> WarmSolve {
-        self.solve_traced(problem, spec, budget, seed, &mut NullSink)
-    }
-
-    /// [`WarmCache::solve`] with a [`TraceSink`] receiving one
-    /// `warm_lookup` event per request plus, for requests that
-    /// actually run, the portfolio's round-granularity events (see the
-    /// [module docs](self#telemetry)). Passing [`NullSink`] is
-    /// bit-identical to [`WarmCache::solve`] (it *is* that function).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`crate::run_portfolio`] for requests that actually run.
-    pub fn solve_traced(
-        &mut self,
-        problem: &MappingProblem,
-        spec: &PortfolioSpec,
-        budget: usize,
-        seed: u64,
-        sink: &mut dyn TraceSink,
-    ) -> WarmSolve {
         let key = RequestKey::of(problem, spec, budget, seed);
         if let Some(&i) = self.by_key.get(&key) {
             self.exact_hits += 1;
-            if sink.enabled() {
-                sink.record(TraceEvent::WarmLookup {
-                    outcome: WarmOutcome::ExactHit,
-                    shared_edges: 0,
-                });
-            }
             let mut result = self.entries[i].result.clone();
             result.stats.warm_exact_hits += 1;
+            result.trace = vec![TraceEvent::WarmLookup {
+                outcome: WarmOutcome::ExactHit,
+                shared_edges: 0,
+            }];
             return WarmSolve {
                 result,
                 source: WarmSource::ExactHit,
@@ -379,41 +357,41 @@ impl WarmCache {
         let donor = self
             .near_hit_donor(&key)
             .map(|(m, s, overlap)| (m.clone(), s, overlap));
-        let (mut result, source) = match donor {
-            Some((mapping, donor_score, shared_edges)) => {
+        let (lookup, source) = match &donor {
+            Some((_, donor_score, shared_edges)) => {
                 self.near_hits += 1;
-                if sink.enabled() {
-                    sink.record(TraceEvent::WarmLookup {
-                        outcome: WarmOutcome::NearHit,
-                        shared_edges,
-                    });
-                }
-                let result =
-                    run_portfolio_seeded_traced(problem, spec, budget, seed, Some(&mapping), sink);
                 (
-                    result,
+                    TraceEvent::WarmLookup {
+                        outcome: WarmOutcome::NearHit,
+                        shared_edges: *shared_edges,
+                    },
                     WarmSource::NearHit {
-                        donor_score,
-                        shared_edges,
+                        donor_score: *donor_score,
+                        shared_edges: *shared_edges,
                     },
                 )
             }
             None => {
                 self.cold_runs += 1;
-                if sink.enabled() {
-                    sink.record(TraceEvent::WarmLookup {
+                (
+                    TraceEvent::WarmLookup {
                         outcome: WarmOutcome::Cold,
                         shared_edges: 0,
-                    });
-                }
-                let result = run_portfolio_seeded_traced(problem, spec, budget, seed, None, sink);
-                (result, WarmSource::Cold)
+                    },
+                    WarmSource::Cold,
+                )
             }
         };
+        let start = donor.as_ref().map(|(mapping, _, _)| mapping);
+        let mut result = run_portfolio_seeded(problem, spec, budget, seed, start);
         let evaluations_spent = result.evaluations;
-        // Store the pure run counters; classify the request only on the
-        // returned copy, so a later exact hit replays the original run.
+        // Store the pure run counters and no trace; classify the
+        // request and attach its events only on the returned copy, so
+        // a later exact hit replays the original run.
+        let mut trace = vec![lookup];
+        trace.append(&mut result.trace);
         self.insert(key, result.clone());
+        result.trace = trace;
         if matches!(source, WarmSource::NearHit { .. }) {
             result.stats.warm_near_hits += 1;
         } else {

@@ -1,9 +1,9 @@
-//! Telemetry contract properties across the search stack: the trace
-//! sink must be **invisible** to every layer that accepts one — same
-//! scores, same evaluation ledgers, same warm-cache keys, at every
-//! worker count — while the recorded streams stay byte-reproducible
-//! and reconcile with the integer evaluation ledger (`phonocmap trace`
-//! verifies the same identities on the JSONL form).
+//! Telemetry contract properties across the search stack: recording
+//! must be **invisible** to every layer that records — same scores,
+//! same evaluation ledgers, same warm-cache keys, at every worker
+//! count — while the recorded streams stay byte-reproducible, match
+//! golden digests, and reconcile with the integer evaluation ledger
+//! (`phonocmap trace` verifies the same identities on the JSONL form).
 //!
 //! The worker override is process-global; like
 //! `phonoc-core/tests/thread_invariance.rs`, tests that pin it
@@ -12,12 +12,12 @@
 use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
 use phonoc_core::parallel::set_worker_override;
 use phonoc_core::{
-    parse_trace, render_trace, run_dse, run_dse_traced, summarize_trace, DseConfig, MappingProblem,
-    Objective, RunTrace, TraceEvent, TraceSink, WarmOutcome,
+    parse_trace, render_trace, run_dse, summarize_trace, DseConfig, MappingProblem, Objective,
+    TraceEvent, WarmOutcome,
 };
 use phonoc_opt::{
-    prove, prove_traced, run_portfolio_seeded, run_portfolio_seeded_traced, IteratedLocalSearch,
-    PortfolioResult, PortfolioSpec, Rpbla, TabuSearch, WarmCache, WarmSource,
+    prove, run_portfolio, run_portfolio_seeded, IteratedLocalSearch, PortfolioResult,
+    PortfolioSpec, Rpbla, TabuSearch, WarmCache, WarmSolve, WarmSource,
 };
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
@@ -65,6 +65,14 @@ fn spec() -> PortfolioSpec {
     PortfolioSpec::parse("r-pbla@sampled+sa,exchange=best,rounds=3").unwrap()
 }
 
+/// `config` with trace recording switched on.
+fn recording(config: DseConfig) -> DseConfig {
+    DseConfig {
+        trace: true,
+        ..config
+    }
+}
+
 fn dse_fingerprint(r: &phonoc_core::DseResult) -> (u64, usize, usize, usize) {
     (
         r.best_score.to_bits(),
@@ -83,10 +91,10 @@ fn portfolio_fingerprint(r: &PortfolioResult) -> (u64, Vec<u64>, Vec<usize>, usi
     )
 }
 
-/// Every local-search optimizer runs bit-identically with a recording
-/// sink installed, and its always-on counters partition the ledger.
+/// Every local-search optimizer runs bit-identically with trace
+/// recording on, and its always-on counters partition the ledger.
 #[test]
-fn optimizers_are_sink_invisible() {
+fn optimizers_are_trace_invisible() {
     let problem = scenario_problem(3);
     let optimizers: [&dyn phonoc_core::MappingOptimizer; 3] = [
         &Rpbla,
@@ -96,31 +104,32 @@ fn optimizers_are_sink_invisible() {
     for optimizer in optimizers {
         let config = DseConfig::new(500, 11);
         let untraced = run_dse(&problem, optimizer, &config);
-        let (traced, events) = run_dse_traced(&problem, optimizer, &config);
+        let traced = run_dse(&problem, optimizer, &recording(config.clone()));
         assert_eq!(
             dse_fingerprint(&untraced),
             dse_fingerprint(&traced),
-            "{}: recording sink changed the search",
+            "{}: trace recording changed the search",
             optimizer.name()
         );
+        assert!(untraced.trace.is_empty(), "{}", optimizer.name());
         assert_eq!(untraced.best_mapping, traced.best_mapping);
         assert_eq!(untraced.stats, traced.stats, "{}", optimizer.name());
         assert!(untraced.stats.reconciles(), "{}", optimizer.name());
         // Re-run: the stream is reproducible byte for byte.
-        let (_, again) = run_dse_traced(&problem, optimizer, &config);
+        let again = run_dse(&problem, optimizer, &recording(config));
         assert_eq!(
-            render_trace(optimizer.name(), &events),
-            render_trace(optimizer.name(), &again),
+            render_trace(optimizer.name(), &traced.trace),
+            render_trace(optimizer.name(), &again.trace),
             "{}: event stream not reproducible",
             optimizer.name()
         );
     }
 }
 
-/// The traced portfolio is the untraced portfolio bit for bit, at
+/// The portfolio runs bit-identically through both entry points at
 /// every worker count, and its event stream is worker-count invariant.
 #[test]
-fn portfolio_trace_is_invisible_and_worker_invariant() {
+fn portfolio_trace_is_worker_invariant() {
     let _pin = pin();
     let problem = scenario_problem(5);
     let pspec = spec();
@@ -129,22 +138,22 @@ fn portfolio_trace_is_invisible_and_worker_invariant() {
     let mut reference_trace: Option<String> = None;
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        let untraced = run_portfolio_seeded(&problem, &pspec, 120, 7, None);
-        let mut sink = RunTrace::new();
-        let traced = run_portfolio_seeded_traced(&problem, &pspec, 120, 7, None, &mut sink);
+        let plain = run_portfolio(&problem, &pspec, 120, 7);
+        let seeded = run_portfolio_seeded(&problem, &pspec, 120, 7, None);
         assert_eq!(
-            portfolio_fingerprint(&untraced),
+            portfolio_fingerprint(&plain),
             portfolio_fingerprint(&reference),
-            "untraced @ {workers} workers"
+            "run_portfolio @ {workers} workers"
         );
         assert_eq!(
-            portfolio_fingerprint(&traced),
+            portfolio_fingerprint(&seeded),
             portfolio_fingerprint(&reference),
-            "traced @ {workers} workers"
+            "run_portfolio_seeded @ {workers} workers"
         );
-        assert_eq!(untraced.stats, traced.stats);
-        assert!(traced.stats.reconciles(), "@ {workers} workers");
-        let rendered = render_trace("portfolio", &sink.drain());
+        assert_eq!(plain.stats, seeded.stats);
+        assert_eq!(plain.trace, seeded.trace);
+        assert!(seeded.stats.reconciles(), "@ {workers} workers");
+        let rendered = render_trace("portfolio", &seeded.trace);
         match &reference_trace {
             None => reference_trace = Some(rendered),
             Some(reference) => assert_eq!(
@@ -166,31 +175,33 @@ fn portfolio_trace_is_invisible_and_worker_invariant() {
     assert!(summary.contains("reconciliation: OK"));
 }
 
-/// The warm cache behaves identically traced and untraced — same
-/// sources, same results, same keys — while the trace records one
-/// lookup per request and the *stored* entries keep pure run counters
-/// (so later exact hits replay the original run).
-#[test]
-fn warm_cache_is_sink_invisible_and_stores_pure_counters() {
+/// A cold request, its exact repeat, and a ≤10% re-weight (a near
+/// hit), through one fresh cache.
+fn warm_stream() -> (WarmSolve, WarmSolve, WarmSolve) {
     let pspec = spec();
-    let run = |sink: &mut dyn TraceSink| {
-        let mut problem = scenario_problem(9);
-        let mut cache = WarmCache::new();
-        let a = cache.solve_traced(&problem, &pspec, 80, 3, sink);
-        let b = cache.solve_traced(&problem, &pspec, 80, 3, sink);
-        let (s, d, bw) = {
-            let e = &problem.cg().edges()[1];
-            (e.src, e.dst, e.bandwidth)
-        };
-        problem
-            .update_edge_bandwidths(&[(s, d, bw * 0.93)])
-            .unwrap();
-        let c = cache.solve_traced(&problem, &pspec, 80, 3, sink);
-        (a, b, c)
+    let mut problem = scenario_problem(9);
+    let mut cache = WarmCache::new();
+    let a = cache.solve(&problem, &pspec, 80, 3);
+    let b = cache.solve(&problem, &pspec, 80, 3);
+    let (s, d, bw) = {
+        let e = &problem.cg().edges()[1];
+        (e.src, e.dst, e.bandwidth)
     };
-    let mut recorder = RunTrace::new();
-    let (a, b, c) = run(&mut recorder);
-    let (ua, ub, uc) = run(&mut phonoc_core::NullSink);
+    problem
+        .update_edge_bandwidths(&[(s, d, bw * 0.93)])
+        .unwrap();
+    let c = cache.solve(&problem, &pspec, 80, 3);
+    (a, b, c)
+}
+
+/// The warm cache is reproducible across fresh caches — same sources,
+/// same results, same traces — while the trace records one lookup per
+/// request and the *stored* entries keep pure run counters (so later
+/// exact hits replay the original run).
+#[test]
+fn warm_cache_is_reproducible_and_stores_pure_counters() {
+    let (a, b, c) = warm_stream();
+    let (ua, ub, uc) = warm_stream();
     assert_eq!(a.source, WarmSource::Cold);
     assert_eq!(b.source, WarmSource::ExactHit);
     assert_eq!(b.evaluations_spent, 0);
@@ -210,6 +221,9 @@ fn warm_cache_is_sink_invisible_and_stores_pure_counters() {
         portfolio_fingerprint(&c.result),
         portfolio_fingerprint(&uc.result)
     );
+    assert_eq!(a.result.trace, ua.result.trace);
+    assert_eq!(b.result.trace, ub.result.trace);
+    assert_eq!(c.result.trace, uc.result.trace);
     // Returned copies classify the request...
     assert_eq!(a.result.stats.warm_cold, 1);
     assert_eq!(b.result.stats.warm_exact_hits, 1);
@@ -221,10 +235,18 @@ fn warm_cache_is_sink_invisible_and_stores_pure_counters() {
     let mut cold = a.result.stats;
     cold.warm_cold = 0;
     assert_eq!(hit, cold, "stored entries must keep pure run counters");
+    // An exact hit returns only its own lookup event.
+    assert_eq!(
+        b.result.trace,
+        vec![TraceEvent::WarmLookup {
+            outcome: WarmOutcome::ExactHit,
+            shared_edges: 0,
+        }]
+    );
     // One warm_lookup per request, in request order.
-    let lookups: Vec<WarmOutcome> = recorder
-        .events()
+    let lookups: Vec<WarmOutcome> = [&a, &b, &c]
         .iter()
+        .flat_map(|solve| &solve.result.trace)
         .filter_map(|e| match e {
             TraceEvent::WarmLookup { outcome, .. } => Some(*outcome),
             _ => None,
@@ -247,7 +269,9 @@ fn exact_lane_trace_mirrors_the_certificate() {
     let problem = scenario_problem(7);
     let config = DseConfig::new(5_000, 1);
     let plain = prove(&problem, &config);
-    let (traced, events) = prove_traced(&problem, &config);
+    let traced = prove(&problem, &recording(config));
+    assert!(plain.result.trace.is_empty());
+    let events = &traced.result.trace;
     assert_eq!(
         plain.result.best_score.to_bits(),
         traced.result.best_score.to_bits()
@@ -286,8 +310,54 @@ fn exact_lane_trace_mirrors_the_certificate() {
         "cut histogram must mirror the certificate"
     );
     // The whole stream survives the JSONL round trip and reconciles.
-    let rendered = render_trace("exact", &events);
+    let rendered = render_trace("exact", events);
     let (header, parsed) = parse_trace(&rendered).unwrap();
-    assert_eq!(parsed, events);
+    assert_eq!(&parsed, events);
     summarize_trace(&header, &parsed).expect("exact trace reconciles");
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    hash
+}
+
+/// `(event count, FNV-1a digest of the rendered JSONL)`.
+fn digest(source: &str, events: &[TraceEvent]) -> (usize, u64) {
+    (events.len(), fnv1a(render_trace(source, events).as_bytes()))
+}
+
+/// The rendered trace bytes of one small run per layer are pinned:
+/// a change to what any layer emits, in which order, or how it renders
+/// shows up here even when both runs of a determinism test agree.
+#[test]
+fn trace_bytes_match_the_golden_digests() {
+    let session = run_dse(
+        &scenario_problem(3),
+        &Rpbla,
+        &recording(DseConfig::new(300, 11)),
+    );
+    assert_eq!(
+        digest("optimize", &session.trace),
+        (307, 0xee8c_f329_a57d_f59c)
+    );
+    let cert = prove(&scenario_problem(7), &recording(DseConfig::new(2_000, 1)));
+    assert_eq!(
+        digest("exact", &cert.result.trace),
+        (30, 0xbe63_ac80_6942_43a4)
+    );
+    let portfolio = run_portfolio(&scenario_problem(5), &spec(), 120, 7);
+    assert_eq!(
+        digest("portfolio", &portfolio.trace),
+        (7, 0x981a_b48a_89e2_cc55)
+    );
+    let (a, b, c) = warm_stream();
+    let warm: Vec<TraceEvent> = [a, b, c]
+        .into_iter()
+        .flat_map(|solve| solve.result.trace)
+        .collect();
+    assert_eq!(digest("warm", &warm), (17, 0x7117_2ec4_8630_bf05));
 }

@@ -23,7 +23,7 @@
 //! (`phonoc_core::telemetry`); `phonocmap trace` reads such a file
 //! back, prints the route-mix / lane-budget / cache-hit breakdowns and
 //! verifies the reconciliation identities. Setting `PHONOC_TRACE_NULL`
-//! keeps the sink off and writes a header-only trace — the CI check
+//! keeps recording off and writes a header-only trace — the CI check
 //! that tracing is genuinely opt-in.
 //!
 //! The CG text format is documented in `phonoc_apps::text`.
@@ -102,7 +102,7 @@ options (analyze/optimize/portfolio):
   --seed N                     RNG seed (default 42)
   --trace-out PATH             record the run as phonocmap-trace/1 JSONL
              (optimize/portfolio/replay; read back with `phonocmap trace`;
-             PHONOC_TRACE_NULL=1 writes a header-only trace, sink off)";
+             PHONOC_TRACE_NULL=1 writes a header-only trace, recording off)";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -307,21 +307,7 @@ fn run_portfolio_session(
     seed: u64,
     trace_out: Option<String>,
 ) -> Result<(), String> {
-    // The sink only observes the fixed lane-order reduction — the race
-    // itself is bit-identical traced or not.
-    let mut sink: Box<dyn phonocmap::core::TraceSink> = if trace_recording(trace_out.as_ref()) {
-        Box::new(phonocmap::core::RunTrace::new())
-    } else {
-        Box::new(phonocmap::core::NullSink)
-    };
-    let result = phonocmap::opt::run_portfolio_seeded_traced(
-        problem,
-        spec,
-        budget,
-        seed,
-        None,
-        sink.as_mut(),
-    );
+    let result = phonocmap::opt::run_portfolio(problem, spec, budget, seed);
     println!(
         "{} finished: {} rounds, {}/{} evaluations, best {} = {:.3}",
         result.spec,
@@ -359,7 +345,12 @@ fn run_portfolio_session(
     println!();
     print!("{}", result.stats.route_mix_table());
     if let Some(path) = trace_out {
-        write_trace(&path, "portfolio", &sink.drain())?;
+        let events = if bench::trace_recording(Some(&path)) {
+            &result.trace[..]
+        } else {
+            &[]
+        };
+        write_trace(&path, "portfolio", events)?;
     }
     Ok(())
 }
@@ -389,12 +380,6 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let (header, events) = phonocmap::core::parse_trace(&text)?;
     print!("{}", phonocmap::core::summarize_trace(&header, &events)?);
     Ok(())
-}
-
-/// Whether `--trace-out` should install a recording sink: the flag was
-/// given and `PHONOC_TRACE_NULL` (the CI off-switch check) is unset.
-fn trace_recording(trace_out: Option<&String>) -> bool {
-    trace_out.is_some() && std::env::var_os("PHONOC_TRACE_NULL").is_none()
 }
 
 /// Writes a recorded event stream as a `phonocmap-trace/1` JSONL file.
@@ -457,21 +442,14 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
         .with_strategy(single.strategy.unwrap_or_default())
         .with_policy(policy);
     config.objective = single.objective;
+    config.trace = bench::trace_recording(flag(args, "--trace-out").as_ref());
     // A `!objective` suffix re-targets the session; report under the
     // objective the scores actually mean.
     let objective = single.objective.unwrap_or_else(|| problem.objective());
-    let trace_out = flag(args, "--trace-out");
-    // The recorder is invisible to the search (bit-identical results,
-    // property-pinned), so the traced and untraced paths print the
-    // same report.
-    let (result, events) = if trace_recording(trace_out.as_ref()) {
-        phonocmap::core::run_dse_traced(&problem, single.optimizer.as_ref(), &config)
-    } else {
-        (
-            run_dse(&problem, single.optimizer.as_ref(), &config),
-            Vec::new(),
-        )
-    };
+    // Recording is invisible to the search (bit-identical results,
+    // property-pinned), so traced and untraced runs print the same
+    // report.
+    let result = run_dse(&problem, single.optimizer.as_ref(), &config);
     println!(
         "{} finished: {} evaluations, best {} = {:.3}",
         result.optimizer, result.evaluations, objective, result.best_score
@@ -491,8 +469,8 @@ fn cmd_optimize(args: &[String]) -> Result<(), String> {
     print!("{}", analyze(&problem, &result.best_mapping));
     println!();
     print!("{}", result.stats.route_mix_table());
-    if let Some(path) = trace_out {
-        write_trace(&path, "optimize", &events)?;
+    if let Some(path) = flag(args, "--trace-out") {
+        write_trace(&path, "optimize", &result.trace)?;
     }
     Ok(())
 }
