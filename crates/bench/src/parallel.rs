@@ -2,32 +2,39 @@
 //! across batch size × item cost × worker count, written as
 //! `BENCH_parallel.json`.
 //!
-//! Three implementations of the same order-preserving map race on
+//! Four implementations of the same order-preserving map race on
 //! synthetic items of calibrated cost:
 //!
 //! * `seq` — the inline single-thread loop (the floor every dispatch
 //!   overhead is measured against);
 //! * `pool` — [`phonoc_core::parallel::pool_map_with`], the persistent
-//!   worker pool behind every production batch path;
+//!   worker pool woken at once for every batch;
 //! * `spawn` — [`phonoc_core::parallel::reference_map_with`], the
 //!   retained pre-pool implementation (fresh `std::thread::scope`
-//!   threads and a fresh scratch per call).
+//!   threads and a fresh scratch per call);
+//! * `auto` — [`phonoc_core::parallel::parallel_map_with`] at the
+//!   cell's worker ceiling, the production path: it prices the batch at
+//!   a measured item cost and wakes workers only when the batch pays
+//!   for the pool's measured wake-up.
 //!
-//! The numbers answer two questions the fork floor depends on: *what
-//! does one dispatch cost* (`pool_ns − seq_ns` at small batches, vs
-//! the same difference for `spawn`), and *where is the crossover* —
-//! the smallest batch at which a forked map stops losing to the
-//! sequential loop (within [`CROSSOVER_TOLERANCE`], since on a
-//! single-core host a forked CPU-bound map can only tie, never win).
+//! The numbers answer three questions: *what does one wake-up cost*
+//! (`pool_ns − seq_ns` at small batches, vs the same difference for
+//! `spawn`), *where is the crossover* — the smallest batch at which a
+//! forked map stops losing to the sequential loop (within
+//! [`CROSSOVER_TOLERANCE`]) — and *does the cost test pick well*:
+//! `auto` should track the better of `seq` and `pool` in every cell.
 //! `scripts/bench_gate.py --parallel` holds `pool ≤ spawn` per cell
-//! (advisory) and on the median (fatal), and the crossover ordering.
+//! (advisory) and on the median (fatal), the crossover ordering, and
+//! `auto_ns ≤ 1.1 × min(seq_ns, pool_ns) + 2 µs` per cell (fatal).
 
 use crate::json_escape;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-use phonoc_core::parallel::{pool_map_with, reference_map_with, FORK_FLOOR};
+use phonoc_core::parallel::{
+    parallel_map_with, pool_map_with, reference_map_with, set_worker_override,
+};
 
 /// A forked map is "at parity" with the sequential loop when it is
 /// within this factor of it — the crossover batch size is the smallest
@@ -81,7 +88,7 @@ impl ParallelBenchConfig {
                     spin_iters: 80,
                 },
                 // ~1 µs: the ballpark of one delta evaluation on the
-                // small meshes (the fork floor's clientele).
+                // small meshes (the cost test's borderline clientele).
                 CostTier {
                     name: "spin1us",
                     spin_iters: 800,
@@ -116,7 +123,7 @@ impl ParallelBenchConfig {
     }
 }
 
-/// One measured grid cell: median per-call wall time of the three
+/// One measured grid cell: median per-call wall time of the four
 /// paths mapping `batch` items of `cost` tier at `workers` workers.
 #[derive(Debug, Clone)]
 pub struct ParallelCell {
@@ -134,6 +141,9 @@ pub struct ParallelCell {
     pub pool_ns: f64,
     /// Scope-spawn reference dispatch, ns per call.
     pub spawn_ns: f64,
+    /// The production map (`parallel_map_with`, cost-tested) at a
+    /// worker ceiling of `workers`, ns per call.
+    pub auto_ns: f64,
 }
 
 impl ParallelCell {
@@ -167,8 +177,6 @@ pub struct ParallelReport {
     pub smoke: bool,
     /// `available_parallelism` on the measuring host.
     pub host_cores: usize,
-    /// The fork floor compiled into the measured build.
-    pub fork_floor: usize,
     /// All measured cells, grid order (cost-major, then workers, then
     /// batch).
     pub cells: Vec<ParallelCell>,
@@ -231,27 +239,38 @@ fn spin(x: u64, iters: u32) -> u64 {
     v
 }
 
-/// Median per-call nanoseconds of `f`, sampled `samples` times with
-/// repetitions calibrated to `target_ns` per sample.
-fn time_median(samples: usize, target_ns: u64, mut f: impl FnMut()) -> f64 {
+/// Median per-call nanoseconds of each of `paths`, sampled `samples`
+/// times with repetitions calibrated to `target_ns` per sample. The
+/// paths take turns sample by sample, so a drift in host load between
+/// samples hits every path alike instead of skewing one of them.
+fn time_medians<const N: usize>(
+    samples: usize,
+    target_ns: u64,
+    paths: [&mut dyn FnMut(); N],
+) -> [f64; N] {
     // Calibrate: one untimed warm-up call (also spawns any missing
     // pool workers), then estimate the per-call cost.
-    f();
-    let t = Instant::now();
-    f();
-    let est = t.elapsed().as_nanos().max(1) as u64;
-    let reps = (target_ns / est).clamp(1, 1_000_000);
-    let mut per_call: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
+    let mut reps = paths.map(|f| {
+        f();
+        let t = Instant::now();
+        f();
+        let est = t.elapsed().as_nanos().max(1) as u64;
+        ((target_ns / est).clamp(1, 1_000_000), f)
+    });
+    let mut per_call = [(); N].map(|()| Vec::with_capacity(samples.max(1)));
+    for _ in 0..samples.max(1) {
+        for ((reps, f), times) in reps.iter_mut().zip(&mut per_call) {
             let t = Instant::now();
-            for _ in 0..reps {
+            for _ in 0..*reps {
                 f();
             }
-            t.elapsed().as_nanos() as f64 / reps as f64
-        })
-        .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[per_call.len() / 2]
+            times.push(t.elapsed().as_nanos() as f64 / *reps as f64);
+        }
+    }
+    per_call.map(|mut times| {
+        times.sort_by(f64::total_cmp);
+        times[times.len() / 2]
+    })
 }
 
 /// Runs the grid, invoking `progress` per measured cell.
@@ -264,17 +283,21 @@ pub fn run_parallel_bench(
         let iters = tier.spin_iters;
         // Calibrated per-item cost: the sequential loop over one item.
         let one = [7u64];
-        let item_ns = time_median(cfg.samples, cfg.target_sample_ns, || {
-            black_box(reference_map_with(
-                &one,
-                1,
-                || 0u64,
-                |acc, &x| {
-                    *acc = spin(x, iters);
-                    *acc
-                },
-            ));
-        });
+        let [item_ns] = time_medians(
+            cfg.samples,
+            cfg.target_sample_ns,
+            [&mut || {
+                black_box(reference_map_with(
+                    &one,
+                    1,
+                    || 0u64,
+                    |acc, &x| {
+                        *acc = spin(x, iters);
+                        *acc
+                    },
+                ));
+            }],
+        );
         for &workers in &cfg.workers {
             for &batch in &cfg.batches {
                 if workers > batch {
@@ -287,15 +310,28 @@ pub fn run_parallel_bench(
                     *acc = spin(x, iters);
                     *acc
                 };
-                let seq_ns = time_median(cfg.samples, cfg.target_sample_ns, || {
-                    black_box(reference_map_with(&items, 1, || 0u64, f));
-                });
-                let pool_ns = time_median(cfg.samples, cfg.target_sample_ns, || {
-                    black_box(pool_map_with(&items, workers, || 0u64, f));
-                });
-                let spawn_ns = time_median(cfg.samples, cfg.target_sample_ns, || {
-                    black_box(reference_map_with(&items, workers, || 0u64, f));
-                });
+                // The override only steers `auto`; the other paths take
+                // their worker count explicitly.
+                set_worker_override(Some(workers));
+                let [seq_ns, pool_ns, spawn_ns, auto_ns] = time_medians(
+                    cfg.samples,
+                    cfg.target_sample_ns,
+                    [
+                        &mut || {
+                            black_box(reference_map_with(&items, 1, || 0u64, f));
+                        },
+                        &mut || {
+                            black_box(pool_map_with(&items, workers, || 0u64, f));
+                        },
+                        &mut || {
+                            black_box(reference_map_with(&items, workers, || 0u64, f));
+                        },
+                        &mut || {
+                            black_box(parallel_map_with(&items, || 0u64, f));
+                        },
+                    ],
+                );
+                set_worker_override(None);
                 let cell = ParallelCell {
                     cost: tier.name,
                     item_ns,
@@ -304,6 +340,7 @@ pub fn run_parallel_bench(
                     seq_ns,
                     pool_ns,
                     spawn_ns,
+                    auto_ns,
                 };
                 progress(&cell);
                 cells.push(cell);
@@ -313,7 +350,6 @@ pub fn run_parallel_bench(
     ParallelReport {
         smoke: cfg.smoke,
         host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        fork_floor: FORK_FLOOR,
         cells,
     }
 }
@@ -356,25 +392,23 @@ pub fn run_parallel_cli(args: &[String], command_prefix: &str) -> Result<(), Str
         cfg.samples,
     );
     println!(
-        "{:<10} {:>3} {:>5} {:>12} {:>12} {:>12} {:>8}",
-        "cost", "w", "batch", "seq_ns", "pool_ns", "spawn_ns", "p/s"
+        "{:<10} {:>3} {:>5} {:>12} {:>12} {:>12} {:>12} {:>8}",
+        "cost", "w", "batch", "seq_ns", "pool_ns", "spawn_ns", "auto_ns", "p/s"
     );
     let report = run_parallel_bench(&cfg, |c| {
         println!(
-            "{:<10} {:>3} {:>5} {:>12.0} {:>12.0} {:>12.0} {:>8.3}",
+            "{:<10} {:>3} {:>5} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>8.3}",
             c.cost,
             c.workers,
             c.batch,
             c.seq_ns,
             c.pool_ns,
             c.spawn_ns,
+            c.auto_ns,
             c.pool_over_spawn(),
         );
     });
-    println!(
-        "\nhost cores: {}   fork floor: {}",
-        report.host_cores, report.fork_floor
-    );
+    println!("\nhost cores: {}", report.host_cores);
     println!(
         "median pool/spawn: {:.3} (gate: <= 1.0)",
         report.median_pool_over_spawn()
@@ -400,13 +434,13 @@ fn opt_usize(v: Option<usize>) -> String {
     v.map_or_else(|| "null".into(), |b| b.to_string())
 }
 
-/// Renders the report as the `phonocmap-bench-parallel/1` JSON document
+/// Renders the report as the `phonocmap-bench-parallel/2` JSON document
 /// (hand-rolled — the workspace builds offline, without `serde_json`).
 #[must_use]
 pub fn report_to_json(report: &ParallelReport, command: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"phonocmap-bench-parallel/1\",");
+    let _ = writeln!(out, "  \"schema\": \"phonocmap-bench-parallel/2\",");
     let _ = writeln!(out, "  \"command\": \"{}\",", json_escape(command));
     let _ = writeln!(
         out,
@@ -414,11 +448,14 @@ pub fn report_to_json(report: &ParallelReport, command: &str) -> String {
         if report.smoke { "smoke" } else { "full" }
     );
     let _ = writeln!(out, "  \"host_cores\": {},", report.host_cores);
-    let _ = writeln!(out, "  \"fork_floor\": {},", report.fork_floor);
     out.push_str("  \"notes\": [\n");
     let _ = writeln!(
         out,
-        "    \"Each cell maps `batch` synthetic items of the tier's calibrated cost through three order-preserving implementations: seq (inline loop), pool (persistent worker pool, the production path), spawn (retained std::thread::scope reference). Medians of per-call wall time.\","
+        "    \"Each cell maps `batch` synthetic items of the tier's calibrated cost through four order-preserving implementations: seq (inline loop), pool (persistent worker pool woken at once), spawn (retained std::thread::scope reference), auto (parallel_map_with at the cell's worker ceiling, the production path: it wakes workers only when the batch's measured cost pays for the pool's measured wake-up). The four paths take turns sample by sample. Medians of per-call wall time.\","
+    );
+    let _ = writeln!(
+        out,
+        "    \"auto_ns <= 1.1 * min(seq_ns, pool_ns) + 2 us is the cost test's claim bench_gate.py --parallel holds per cell (fatal): the production path is never much slower than the better of running inline and waking workers at once.\","
     );
     let _ = writeln!(
         out,
@@ -470,7 +507,7 @@ pub fn report_to_json(report: &ParallelReport, command: &str) -> String {
     for (i, c) in report.cells.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    {{\"cost\": \"{}\", \"item_ns\": {:.1}, \"workers\": {}, \"batch\": {}, \"seq_ns\": {:.1}, \"pool_ns\": {:.1}, \"spawn_ns\": {:.1}, \"pool_over_spawn\": {:.4}}}{}",
+            "    {{\"cost\": \"{}\", \"item_ns\": {:.1}, \"workers\": {}, \"batch\": {}, \"seq_ns\": {:.1}, \"pool_ns\": {:.1}, \"spawn_ns\": {:.1}, \"auto_ns\": {:.1}, \"pool_over_spawn\": {:.4}}}{}",
             c.cost,
             c.item_ns,
             c.workers,
@@ -478,6 +515,7 @@ pub fn report_to_json(report: &ParallelReport, command: &str) -> String {
             c.seq_ns,
             c.pool_ns,
             c.spawn_ns,
+            c.auto_ns,
             c.pool_over_spawn(),
             if i + 1 == report.cells.len() { "" } else { "," },
         );
@@ -514,12 +552,11 @@ mod tests {
         assert_eq!(seen, 2);
         assert_eq!(report.cells.len(), 2);
         assert!(report.host_cores >= 1);
-        assert_eq!(report.fork_floor, FORK_FLOOR);
         for c in &report.cells {
-            assert!(c.seq_ns > 0.0 && c.pool_ns > 0.0 && c.spawn_ns > 0.0);
+            assert!(c.seq_ns > 0.0 && c.pool_ns > 0.0 && c.spawn_ns > 0.0 && c.auto_ns > 0.0);
         }
         let json = report_to_json(&report, "test");
-        assert!(json.contains("\"schema\": \"phonocmap-bench-parallel/1\""));
+        assert!(json.contains("\"schema\": \"phonocmap-bench-parallel/2\""));
         assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"crossovers\""));
         let opens = json.matches(['{', '[']).count();

@@ -10,20 +10,33 @@
 //! mid-run worker resizes between batches, and reused sticky scratch
 //! slots polluted by a differently-shaped batch.
 //!
+//! The production maps wake workers only when a batch's measured cost
+//! pays for it, so a batch of cheap items may never leave the caller.
+//! To keep "bit-identical at every worker count" from shrinking to
+//! "inline equals inline", the suites also run their items through
+//! [`pool_map_with`] (which wakes workers at once) or the coarse map
+//! behind a rendezvous that holds each item until a second thread has
+//! started one, and assert that two threads really took part.
+//!
 //! The override is process-global, so every test serializes on one
 //! mutex and restores the default before releasing it.
 
 use phonoc_core::parallel::{
     parallel_map, parallel_map_tasks, pool_map_with, reference_map_with, set_worker_override,
 };
-use phonoc_core::{EvalScratch, Mapping, MappingProblem, Move, MoveEval, Objective, OptContext};
+use phonoc_core::{
+    EvalScratch, EvalSummary, Mapping, MappingProblem, Move, MoveEval, Objective, OptContext,
+};
 use phonoc_phys::{Length, PhysicalParameters};
 use phonoc_route::XyRouting;
 use phonoc_router::crux::crux_router;
 use phonoc_topo::Topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,6 +54,38 @@ fn pin() -> Pinned<'static> {
 }
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// A rendezvous for mapped items: each item registers its thread and is
+/// held (for at most 10 s) until a second distinct thread has
+/// registered, so a batch that wakes a worker provably runs on two
+/// threads whatever the wake-up timing. Holding an item never changes
+/// its result.
+#[derive(Default)]
+struct TwoThreads(Mutex<HashSet<ThreadId>>);
+
+impl TwoThreads {
+    fn join(&self) {
+        self.0.lock().unwrap().insert(std::thread::current().id());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.threads() < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
+}
+
+/// A pure function of `x` that costs about 10 µs — enough that a
+/// production map of a few dozen such items wakes a worker.
+fn costly(x: u64) -> u64 {
+    let mut v = x | 1;
+    for _ in 0..8_000 {
+        v = std::hint::black_box(v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17));
+    }
+    v
+}
 
 fn problem(mesh: usize, density: u32, seed: u64) -> MappingProblem {
     use phonoc_apps::scenario::{ScenarioFamily, ScenarioSpec};
@@ -64,16 +109,41 @@ fn problem(mesh: usize, density: u32, seed: u64) -> MappingProblem {
 #[test]
 fn plain_maps_are_worker_count_invariant() {
     let _pin = pin();
-    let items: Vec<u64> = (0..257).collect();
+    let items: Vec<u64> = (0..64).collect();
     set_worker_override(Some(1));
-    let reference = parallel_map(&items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
-    let tasks_reference = parallel_map_tasks(&items, |&x| x ^ (x << 13));
+    let reference = parallel_map(&items, |&x| costly(x));
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        let fine = parallel_map(&items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
-        let coarse = parallel_map_tasks(&items, |&x| x ^ (x << 13));
+        // The production map, on items costly enough to wake workers.
+        let fine = parallel_map(&items, |&x| costly(x));
         assert_eq!(fine, reference, "parallel_map @ {workers} workers");
-        assert_eq!(coarse, tasks_reference, "parallel_map_tasks @ {workers}");
+        // The forced-wake pool map and the coarse map, each provably
+        // on two threads from 2 workers up.
+        let pooled_gate = TwoThreads::default();
+        let pooled = pool_map_with(
+            &items,
+            workers,
+            || (),
+            |(), &x| {
+                if workers > 1 {
+                    pooled_gate.join();
+                }
+                costly(x)
+            },
+        );
+        let coarse_gate = TwoThreads::default();
+        let coarse = parallel_map_tasks(&items, |&x| {
+            if workers > 1 {
+                coarse_gate.join();
+            }
+            costly(x)
+        });
+        assert_eq!(pooled, reference, "pool_map_with @ {workers} workers");
+        assert_eq!(coarse, reference, "parallel_map_tasks @ {workers}");
+        if workers > 1 {
+            assert!(pooled_gate.threads() >= 2, "pool_map_with @ {workers}");
+            assert!(coarse_gate.threads() >= 2, "parallel_map_tasks @ {workers}");
+        }
     }
 }
 
@@ -82,20 +152,39 @@ fn batch_evaluation_is_worker_count_invariant() {
     let _pin = pin();
     let p = problem(6, 150, 3);
     let mut rng = StdRng::seed_from_u64(99);
-    // Enough mappings that 4 workers genuinely fork (≥ 4 × FORK_FLOOR).
     let mappings: Vec<Mapping> = (0..96)
         .map(|_| Mapping::random(p.task_count(), p.tile_count(), &mut rng))
         .collect();
+    let evaluator = p.evaluator();
+    let bits = |s: &EvalSummary| (s.worst_case_snr.0.to_bits(), s.worst_case_il.0.to_bits());
     set_worker_override(Some(1));
-    let reference = p.evaluator().evaluate_summaries_batch(&mappings);
+    let reference: Vec<(u64, u64)> = evaluator
+        .evaluate_summaries_batch(&mappings)
+        .iter()
+        .map(bits)
+        .collect();
     for workers in WORKER_COUNTS {
         set_worker_override(Some(workers));
-        let batch = p.evaluator().evaluate_summaries_batch(&mappings);
-        assert_eq!(batch.len(), reference.len());
-        for (a, b) in batch.iter().zip(&reference) {
-            // Bit-exact, not approximately equal.
-            assert_eq!(a.worst_case_snr.0.to_bits(), b.worst_case_snr.0.to_bits());
-            assert_eq!(a.worst_case_il.0.to_bits(), b.worst_case_il.0.to_bits());
+        // The production batch, forking when its measured cost pays.
+        let batch: Vec<(u64, u64)> = evaluator
+            .evaluate_summaries_batch(&mappings)
+            .iter()
+            .map(bits)
+            .collect();
+        // Bit-exact, not approximately equal.
+        assert_eq!(batch, reference, "evaluate_summaries_batch @ {workers}");
+        // The same evaluations forced onto the pool, provably on two
+        // threads from 2 workers up.
+        let gate = TwoThreads::default();
+        let pooled = pool_map_with(&mappings, workers, EvalScratch::default, |scratch, m| {
+            if workers > 1 {
+                gate.join();
+            }
+            bits(&evaluator.evaluate_into(m, None, scratch))
+        });
+        assert_eq!(pooled, reference, "pooled evaluation @ {workers}");
+        if workers > 1 {
+            assert!(gate.threads() >= 2, "pooled evaluation @ {workers}");
         }
     }
 }

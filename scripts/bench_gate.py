@@ -75,7 +75,12 @@ input file is malformed):
    1.0, or any (cost, workers) series whose pool path reaches
    sequential parity at a larger batch than the spawn path, is a
    quality finding — fatal under --strict-quality, since the whole
-   point of the pool is cheaper dispatch at every batch size.
+   point of the pool is cheaper dispatch at every batch size. The
+   production path (auto_ns: parallel_map_with, which wakes workers
+   only when a batch's measured cost pays for it) must track the better
+   of running inline and waking at once: per cell, auto_ns above
+   AUTO_SLACK * min(seq_ns, pool_ns) + AUTO_SLACK_NS is a quality
+   finding, as is a cell without an auto_ns column.
 9. Optimality gaps (--gaps, schema phonocmap-bench-sweep/7+): the exact
    lane's certificate columns. Structurally, every optimizer row must
    carry a finite `lower_bound` (score-space upper bound: no mapping of
@@ -120,6 +125,8 @@ PORTFOLIO_WIN_SHARE = 0.80
 WARMSTART_PARITY_RATIO = 0.50
 WARMSTART_MESH_FLOOR = 12
 PARALLEL_CELL_SLACK = 1.05
+AUTO_SLACK = 1.10
+AUTO_SLACK_NS = 2000.0
 GAP_EPSILON_DB = 1e-9
 GAP_WIDEN_DB = 0.05
 
@@ -449,20 +456,32 @@ def check_parallel(report):
     """Returns (quality_findings, advisory_findings) for a parallel
     dispatch report.
 
-    Per-cell overruns are advisories (timing noise); the median ratio
-    and the crossover ordering are the pool's core claim — quality
-    findings, fatal under --strict-quality.
+    Per-cell pool-vs-spawn overruns are advisories (timing noise); the
+    median ratio, the crossover ordering and the production path's
+    per-cell bound against the better of seq and pool are the pool's
+    core claims — quality findings, fatal under --strict-quality.
     """
     findings = []
     advisories = []
     cells = report.get("cells", [])
     ratios = []
     for c in cells:
+        name = f"{c['cost']}@{c['workers']}w/{c['batch']}"
+        if "auto_ns" not in c:
+            findings.append(f"{name}: no auto_ns (production path) column")
+        else:
+            limit = AUTO_SLACK * min(c["seq_ns"], c["pool_ns"]) + AUTO_SLACK_NS
+            if c["auto_ns"] > limit:
+                findings.append(
+                    f"{name}: production path {c['auto_ns']:.0f} ns exceeds "
+                    f"{AUTO_SLACK} x min(seq {c['seq_ns']:.0f}, pool "
+                    f"{c['pool_ns']:.0f}) + {AUTO_SLACK_NS:.0f} ns = {limit:.0f} ns"
+                )
         ratio = c["pool_ns"] / max(c["spawn_ns"], 1)
         ratios.append(ratio)
         if ratio > PARALLEL_CELL_SLACK:
             advisories.append(
-                f"{c['cost']}@{c['workers']}w/{c['batch']}: pool {c['pool_ns']:.0f} ns "
+                f"{name}: pool {c['pool_ns']:.0f} ns "
                 f"is {ratio:.2f}x the scope-spawn reference "
                 f"{c['spawn_ns']:.0f} ns (slack {PARALLEL_CELL_SLACK}x)"
             )
