@@ -61,6 +61,35 @@
 //! Only exact variants can be committed; [`OptContext::apply_scored_move`]
 //! rejects a bounded peek.
 //!
+//! # What each objective family computes
+//!
+//! The context computes only what the session's objective reads, and
+//! keeps its cursor's buffers rather than rebuilding them:
+//!
+//! * **loss-based** (worst-case loss, laser power) — every full
+//!   evaluation ([`OptContext::evaluate`], [`OptContext::evaluate_batch`],
+//!   [`OptContext::set_current`]) is an insertion-loss-only pass: one
+//!   path-table lookup per edge, min-folded exactly as the full pass
+//!   folds it, with no crosstalk. The cursor holds an IL-only
+//!   [`EvalState`] (paths, per-edge losses, worst case), which is all
+//!   the loss peeks read, and a commit updates the moved edges and the
+//!   worst case only. Batches run inline: an item costs tens of
+//!   nanoseconds, less than waking a worker.
+//! * **SNR-based** (worst-case SNR, SNR margin) — full evaluations run
+//!   the crosstalk pass; the cursor holds the complete state. A seat
+//!   refills the existing state in place, and under
+//!   [`PeekStrategy::Hybrid`] a commit follows the route its peek took:
+//!   a [`MoveEval::Full`] peek (the router judged a full pass cheaper
+//!   than the delta for that move) re-seats in place, any other peek
+//!   commits through the incremental delta. Pinned strategies always
+//!   commit through the delta: a pinned full peek says nothing about
+//!   what the move costs.
+//!
+//! Either way scores, trajectories, the evaluation ledger and
+//! [`RunStats`] are bit-identical to running the full crosstalk pass
+//! everywhere: a skipped pass is still charged and counted as the full
+//! evaluation it stands in for. Only wall time moves.
+//!
 //! # One entry point
 //!
 //! Callers run searches through [`run_dse`] with a [`DseConfig`]: the
@@ -168,8 +197,8 @@
 //! core so that new strategies can be added "without any changes in the
 //! tool core", paper Section I — implementations live in `phonoc-opt`).
 //! Swap-based strategies walk a *cursor* — [`OptContext::set_current`]
-//! to full-evaluate a starting point (on the context's reused
-//! [`EvalScratch`]), the peek family to score candidate moves
+//! to full-evaluate a starting point (refilling the cursor's reused
+//! [`EvalState`] in place), the peek family to score candidate moves
 //! incrementally, and [`OptContext::apply_scored_move`] to commit one —
 //! while population strategies batch-score whole generations with
 //! [`OptContext::evaluate_batch`].
@@ -492,6 +521,10 @@ pub struct OptContext<'p> {
     /// [`OptContext::set_current`] — possibly on a different problem —
     /// starts warm.
     spare_scratch: DeltaScratch,
+    /// The dropped cursor's [`EvalState`], parked beside
+    /// `spare_scratch`: the next [`OptContext::set_current`] refills it
+    /// in place instead of allocating a fresh one.
+    spare_state: Option<EvalState>,
 }
 
 impl fmt::Debug for OptContext<'_> {
@@ -531,6 +564,7 @@ impl<'p> OptContext<'p> {
             trace: None,
             full_scratch: EvalScratch::default(),
             spare_scratch: DeltaScratch::default(),
+            spare_state: None,
         }
     }
 
@@ -560,7 +594,8 @@ impl<'p> OptContext<'p> {
     /// ledger, RNG, incumbent, history, cursor, pending seed start) is
     /// reset exactly as [`OptContext::new`] would; all *capital* is
     /// kept: the grow-only [`EvalScratch`] and the cursor's
-    /// [`DeltaScratch`] survive (parked in the spare slot), so the next
+    /// [`DeltaScratch`] and [`EvalState`] survive (parked in the spare
+    /// slots), so the next
     /// session starts allocation-free even on a different problem. The
     /// problem itself carries the other reusable capital — distance
     /// tables and the interaction matrix live in its [`Evaluator`]
@@ -584,6 +619,7 @@ impl<'p> OptContext<'p> {
         self.warn_unconsumed_seed("reset_for");
         if let Some(c) = self.cursor.take() {
             self.spare_scratch = c.scratch;
+            self.spare_state = Some(c.state);
         }
         self.problem = problem;
         self.objective = problem.objective();
@@ -849,25 +885,45 @@ impl<'p> OptContext<'p> {
         }
     }
 
+    /// Whether `score` would improve the incumbent.
+    fn improves(&self, score: f64) -> bool {
+        self.best.as_ref().is_none_or(|(_, s)| score > *s)
+    }
+
+    /// Records `mapping` as the incumbent if `score` improves on it
+    /// (cloning the mapping only then).
     fn record(&mut self, mapping: &Mapping, score: f64) {
-        let improved = self.best.as_ref().is_none_or(|(_, s)| score > *s);
-        if improved {
-            self.best = Some((mapping.clone(), score));
-            let index = self.used();
-            self.history.push((index, score));
-            self.stats.improvements += 1;
-            self.emit(|| TraceEvent::Improved {
-                spent: index,
-                score_bits: score.to_bits(),
-            });
+        if self.improves(score) {
+            self.record_improvement(mapping.clone(), score);
         }
+    }
+
+    /// Installs an improving `(mapping, score)` as the incumbent — the
+    /// caller checked [`OptContext::improves`], so it materializes the
+    /// mapping only for a real improvement.
+    fn record_improvement(&mut self, mapping: Mapping, score: f64) {
+        self.best = Some((mapping, score));
+        let index = self.used();
+        self.history.push((index, score));
+        self.stats.improvements += 1;
+        self.emit(|| TraceEvent::Improved {
+            spent: index,
+            score_bits: score.to_bits(),
+        });
     }
 
     /// Scores `mapping` under the problem objective (higher = better),
     /// consuming one full evaluation. Returns `None` — without
     /// evaluating — once the budget is exhausted; optimizers should then
-    /// return. Runs on the context's reused [`EvalScratch`], so the
-    /// evaluation itself allocates nothing.
+    /// return.
+    ///
+    /// What runs depends on the objective family: a loss-based
+    /// objective reads only the worst-case insertion loss, so it gets
+    /// the `O(edges)` path-table pass
+    /// ([`crate::Evaluator::worst_case_il`]); an SNR-based objective
+    /// gets the full crosstalk pass on the context's reused
+    /// [`EvalScratch`], so the evaluation itself allocates nothing.
+    /// Both are charged and counted as one full evaluation.
     pub fn evaluate(&mut self, mapping: &Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
@@ -875,42 +931,51 @@ impl<'p> OptContext<'p> {
         self.charge(self.unit);
         self.full_evaluations += 1;
         self.stats.full_direct += 1;
-        let summary = self
-            .problem
-            .evaluator()
-            .evaluate_into(mapping, None, &mut self.full_scratch);
-        let score = self
-            .objective
-            .score_worst_cases(summary.worst_case_il, summary.worst_case_snr);
+        let evaluator = self.problem.evaluator();
+        let score = if self.objective.is_loss_based() {
+            self.objective
+                .score_worst_il(evaluator.worst_case_il(mapping))
+        } else {
+            let summary = evaluator.evaluate_into(mapping, None, &mut self.full_scratch);
+            self.objective.score_worst_snr(summary.worst_case_snr)
+        };
         self.record(mapping, score);
         Some(score)
     }
 
-    /// Scores a batch of mappings (in parallel across CPU cores), each
-    /// consuming one full evaluation. Only as many mappings as the
-    /// remaining budget admits are evaluated: the returned vector holds
-    /// scores for the evaluated *prefix* and may be shorter than the
-    /// input. Incumbent tracking visits results in input order, so the
-    /// outcome is identical to a sequential [`OptContext::evaluate`]
-    /// loop.
+    /// Scores a batch of mappings, each consuming one full evaluation.
+    /// Only as many mappings as the remaining budget admits are
+    /// evaluated: the returned vector holds scores for the evaluated
+    /// *prefix* and may be shorter than the input. Incumbent tracking
+    /// visits results in input order, so the outcome is identical to a
+    /// sequential [`OptContext::evaluate`] loop. SNR-based objectives
+    /// run their crosstalk passes in parallel across CPU cores;
+    /// loss-based objectives run the insertion-loss pass inline, since
+    /// each item costs less than waking a worker.
     pub fn evaluate_batch(&mut self, mappings: &[Mapping]) -> Vec<f64> {
         let admit = self.remaining().min(mappings.len());
         if admit == 0 {
             return Vec::new();
         }
-        let summaries = self
-            .problem
-            .evaluator()
-            .evaluate_summaries_batch(&mappings[..admit]);
         let objective = self.objective;
-        let mut scores = Vec::with_capacity(admit);
-        for (mapping, s) in mappings.iter().zip(summaries) {
+        let evaluator = self.problem.evaluator();
+        let scores: Vec<f64> = if objective.is_loss_based() {
+            mappings[..admit]
+                .iter()
+                .map(|m| objective.score_worst_il(evaluator.worst_case_il(m)))
+                .collect()
+        } else {
+            evaluator
+                .evaluate_summaries_batch(&mappings[..admit])
+                .into_iter()
+                .map(|s| objective.score_worst_snr(s.worst_case_snr))
+                .collect()
+        };
+        for (mapping, &score) in mappings.iter().zip(&scores) {
             self.charge(self.unit);
             self.full_evaluations += 1;
             self.stats.full_direct += 1;
-            let score = objective.score_worst_cases(s.worst_case_il, s.worst_case_snr);
             self.record(mapping, score);
-            scores.push(score);
         }
         scores
     }
@@ -984,6 +1049,15 @@ impl<'p> OptContext<'p> {
     /// [`OptContext::peek_move`] / [`OptContext::apply_scored_move`]
     /// calls, and returns its score. Consumes one full evaluation;
     /// `None` once the budget is exhausted.
+    ///
+    /// The cursor's [`EvalState`] is refilled in place — the outgoing
+    /// cursor's, or the one [`OptContext::reset_for`] parked — so a
+    /// re-seat allocates nothing once warm. A loss-based objective
+    /// seats an IL-only state
+    /// ([`crate::Evaluator::init_loss_state_into`]: per-edge paths and
+    /// losses, no crosstalk), which is all its peeks and commits read;
+    /// an SNR-based objective seats the complete crosstalk state
+    /// ([`crate::Evaluator::init_state_into`]).
     pub fn set_current(&mut self, mapping: Mapping) -> Option<f64> {
         if self.exhausted() {
             return None;
@@ -991,16 +1065,23 @@ impl<'p> OptContext<'p> {
         self.charge(self.unit);
         self.full_evaluations += 1;
         self.stats.full_direct += 1;
-        let state = self.problem.evaluator().init_state(&mapping);
-        let score = self
-            .objective
-            .score_worst_cases(state.worst_case_il(), state.worst_case_snr());
+        let (state, scratch) = match self.cursor.take() {
+            Some(c) => (Some(c.state), c.scratch),
+            None => (
+                self.spare_state.take(),
+                std::mem::take(&mut self.spare_scratch),
+            ),
+        };
+        let mut state = state.unwrap_or_default();
+        let evaluator = self.problem.evaluator();
+        let score = if self.objective.is_loss_based() {
+            evaluator.init_loss_state_into(&mapping, &mut state);
+            self.objective.score_worst_il(state.worst_case_il())
+        } else {
+            evaluator.init_state_into(&mapping, &mut state);
+            self.objective.score_worst_snr(state.worst_case_snr())
+        };
         self.record(&mapping, score);
-        let scratch = self
-            .cursor
-            .take()
-            .map(|c| c.scratch)
-            .unwrap_or_else(|| std::mem::take(&mut self.spare_scratch));
         let model = PeekCostModel::of(&state);
         self.cursor = Some(Cursor {
             mapping,
@@ -1531,17 +1612,35 @@ impl<'p> OptContext<'p> {
     /// materializing the moved mapping only in that (rare) case, so no
     /// strategy can lose a best solution it merely looked at.
     fn note_peeked(&mut self, mv: Move, score: f64) {
-        let improves = self.best.as_ref().is_none_or(|(_, s)| score > *s);
-        if improves {
+        if self.improves(score) {
             let cursor = self.cursor.as_ref().expect("cursor checked by caller");
             let moved = cursor.mapping.with_move(mv);
-            self.record(&moved, score);
+            self.record_improvement(moved, score);
         }
     }
 
     /// Commits a previously peeked move: the cursor's mapping and
     /// incremental state advance to the moved solution. Free of charge —
     /// the scoring work was already billed by the peek.
+    ///
+    /// The commit takes the cheapest route to the moved state that the
+    /// objective family and the peek allow:
+    ///
+    /// * loss-based objectives update the IL-only cursor's moved edges
+    ///   and worst-case loss ([`crate::Evaluator::apply_loss_move`]);
+    /// * an SNR-based [`MoveEval::Full`] peek under
+    ///   [`PeekStrategy::Hybrid`] means the router already judged a
+    ///   full pass cheaper than the delta for this move, so the move is
+    ///   applied to the mapping and the cursor state refilled in place
+    ///   ([`crate::Evaluator::init_state_into`]);
+    /// * every other SNR-based commit — delta-routed peeks, and every
+    ///   peek of a pinned strategy, which routes without weighing the
+    ///   move — goes through the incremental delta
+    ///   ([`crate::Evaluator::apply_move`]).
+    ///
+    /// All three leave the cursor bit-identical to a fresh seat on the
+    /// moved mapping. The moved mapping is cloned into the incumbent
+    /// only when the commit improves it.
     ///
     /// # Panics
     ///
@@ -1557,19 +1656,39 @@ impl<'p> OptContext<'p> {
             "cannot commit a bound-rejected peek ({:?})",
             ev.mv()
         );
+        let evaluator = self.problem.evaluator();
+        let objective = self.objective;
         let cursor = self
             .cursor
             .as_mut()
             .expect("apply_scored_move without set_current");
-        self.problem.evaluator().apply_move(
-            &mut cursor.state,
-            &mut cursor.mapping,
-            ev.mv(),
-            &mut cursor.scratch,
-        );
-        let score = self
-            .objective
-            .score_worst_cases(cursor.state.worst_case_il(), cursor.state.worst_case_snr());
+        let mv = ev.mv();
+        let score = if objective.is_loss_based() {
+            let worst_il = evaluator.apply_loss_move(
+                &mut cursor.state,
+                &mut cursor.mapping,
+                mv,
+                &mut cursor.scratch,
+            );
+            objective.score_worst_il(worst_il)
+        } else {
+            if self.strategy == PeekStrategy::Hybrid && matches!(ev, MoveEval::Full { .. }) {
+                cursor.mapping.apply_move(mv);
+                evaluator.init_state_into(&cursor.mapping, &mut cursor.state);
+                debug_assert!(
+                    evaluator.state_matches_full_eval(&cursor.state, &cursor.mapping),
+                    "re-seated state diverged from full evaluation after {mv:?}"
+                );
+            } else {
+                evaluator.apply_move(
+                    &mut cursor.state,
+                    &mut cursor.mapping,
+                    mv,
+                    &mut cursor.scratch,
+                );
+            }
+            objective.score_worst_snr(cursor.state.worst_case_snr())
+        };
         debug_assert_eq!(
             score,
             ev.score(),
@@ -1582,11 +1701,18 @@ impl<'p> OptContext<'p> {
         // `O(tiles + edges)` pass, paid once per commit). Skipped when
         // no peek will ever consult the model — loss-based objectives
         // ride their own fast path, and pinned strategies never route.
-        if self.strategy == PeekStrategy::Hybrid && self.objective.uses_snr() {
+        if self.strategy == PeekStrategy::Hybrid && objective.uses_snr() {
             cursor.model = PeekCostModel::of(&cursor.state);
         }
-        let mapping = cursor.mapping.clone();
-        self.record(&mapping, score);
+        if self.improves(score) {
+            let mapping = self
+                .cursor
+                .as_ref()
+                .expect("cursor set above")
+                .mapping
+                .clone();
+            self.record_improvement(mapping, score);
+        }
     }
 
     /// The incumbent best, if any evaluation happened.

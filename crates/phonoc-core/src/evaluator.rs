@@ -76,7 +76,7 @@
 //! from-scratch build over the mutated CG (pinned by
 //! `tests/mutation_properties.rs` on random mutation batches).
 //! Mutations invalidate outstanding [`EvalState`]s — re-initialize via
-//! [`Evaluator::init_state`] (the engine's
+//! [`Evaluator::init_state`] / [`Evaluator::init_state_into`] (the engine's
 //! [`OptContext::reset_for`](crate::OptContext::reset_for) does this
 //! bookkeeping for search sessions). The safe entry points live on
 //! [`MappingProblem`](crate::MappingProblem)
@@ -291,6 +291,17 @@ struct PathInfo {
     /// Total insertion loss in dB (element + propagation + link
     /// crossings).
     total_db: f64,
+}
+
+/// Worst-case insertion loss (paper Eq. 3) of per-edge losses given in
+/// edge order: the min-fold from `0.0` (an edgeless graph loses
+/// nothing). The IL-only sites — [`Evaluator::worst_case_il`], the
+/// state fills and the loss delta — fold through it; the full and delta
+/// passes fuse the same fold into their SNR scans, and debug assertions
+/// and the property tests hold them to it, so every reported worst IL
+/// is bit-identical.
+fn worst_il_of(losses: impl IntoIterator<Item = f64>) -> f64 {
+    losses.into_iter().fold(0.0, f64::min)
 }
 
 /// The reusable, mapping-independent evaluation engine.
@@ -916,6 +927,16 @@ impl Evaluator {
         scratch.worst_il = worst_il;
         scratch.worst_snr = worst_snr;
         debug_assert_eq!(
+            worst_il.to_bits(),
+            worst_il_of(
+                (0..edges)
+                    .filter(|&e| scratch.edge_active[e])
+                    .map(|e| scratch.il[e])
+            )
+            .to_bits(),
+            "fused worst-IL fold diverged from worst_il_of"
+        );
+        debug_assert_eq!(
             worst_snr,
             (0..edges)
                 .filter(|&e| scratch.edge_active[e])
@@ -934,6 +955,29 @@ impl Evaluator {
             worst_case_il: Db(worst_il),
             worst_case_snr: Db(worst_snr),
         }
+    }
+
+    /// Worst-case insertion loss of `mapping` (paper Eq. 3) alone: one
+    /// path lookup per CG edge, min-folded exactly as
+    /// [`Evaluator::evaluate_into`] folds it, so the result is
+    /// bit-identical to its `worst_case_il` — without the crosstalk
+    /// pass the loss-family objectives never read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
+    #[must_use]
+    pub fn worst_case_il(&self, mapping: &Mapping) -> Db {
+        assert_eq!(
+            mapping.tile_count(),
+            self.tile_count,
+            "mapping built for a different topology"
+        );
+        let tiles = self.tile_count;
+        Db(worst_il_of(self.edge_endpoints.iter().map(|&(s, d)| {
+            let idx = mapping.tile_of_task(s).0 * tiles + mapping.tile_of_task(d).0;
+            self.path(idx).total_db
+        })))
     }
 
     /// The insertion loss of the (unmapped) tile-pair path `s → d`, if

@@ -53,8 +53,18 @@
 //! comparing the updated state against a fresh full evaluation, and the
 //! workspace property tests (`crates/phonoc-core/tests/`,
 //! `tests/properties.rs`) pin the equality on random mappings and moves.
+//!
+//! # The IL-only form
+//!
+//! Loss-family objectives read only insertion loss, which depends on
+//! each edge's own path and not on crosstalk. For them an [`EvalState`]
+//! is filled in its IL-only form ([`Evaluator::init_loss_state_into`]):
+//! paths and per-edge losses only. The loss peeks read nothing else,
+//! and [`Evaluator::apply_loss_move`] commits a move by updating the
+//! moved edges and the worst case. The SNR entry points debug-assert
+//! that they were handed a complete state.
 
-use super::{EvalScratch, EvalSummary, Evaluator, NetworkMetrics, PathInfo};
+use super::{worst_il_of, EvalScratch, EvalSummary, Evaluator, NetworkMetrics, PathInfo};
 use crate::mapping::{Mapping, Move};
 use crate::parallel;
 use phonoc_phys::Db;
@@ -82,12 +92,31 @@ pub(super) struct Occ {
 
 /// Mapping-dependent caches enabling incremental re-evaluation.
 ///
-/// Build one with [`Evaluator::init_state`] (a full evaluation), then
-/// score candidate moves with [`Evaluator::evaluate_delta`] and commit
-/// them with [`Evaluator::apply_move`]. The state is tied to the
-/// evaluator and mapping it was built from; the commit path keeps all
-/// three in sync.
-#[derive(Debug, Clone)]
+/// A state comes in one of two forms:
+///
+/// * **complete** — built by [`Evaluator::init_state`] or refilled in
+///   place by [`Evaluator::init_state_into`] (a full evaluation). It
+///   caches everything below; score moves with
+///   [`Evaluator::evaluate_delta`] / [`Evaluator::evaluate_delta_bounded`]
+///   and commit them with [`Evaluator::apply_move`].
+/// * **IL-only** — filled by [`Evaluator::init_loss_state_into`] for
+///   loss-family objectives, which read nothing but insertion loss. It
+///   holds `path_of_edge`, the per-edge insertion losses and the worst
+///   case; the crosstalk caches are empty and the worst SNR is never
+///   computed ([`EvalState::worst_case_snr`] debug-asserts a complete
+///   state). Only the loss peeks
+///   ([`Evaluator::evaluate_delta_loss`],
+///   [`Evaluator::evaluate_delta_loss_bounded`]) and the loss commit
+///   ([`Evaluator::apply_loss_move`]) accept it; the SNR entry points
+///   debug-assert a complete state.
+///
+/// The state is tied to the evaluator and mapping it was built from;
+/// the commit paths keep all three in sync. Refilling a state for a
+/// new mapping (or a new problem, or the other form) reuses its
+/// buffers, so a cursor that is re-seated allocates nothing once warm.
+/// The [`Default`] state describes nothing yet; it is what the
+/// `init_*_into` fills start from.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalState {
     /// Per edge: index of its current path (`src_tile * tiles + dst`).
     path_of_edge: Vec<usize>,
@@ -114,34 +143,55 @@ pub struct EvalState {
 }
 
 impl EvalState {
+    /// Whether the crosstalk caches are filled (the complete form);
+    /// `false` for an IL-only state.
+    #[must_use]
+    pub fn has_crosstalk(&self) -> bool {
+        self.hop_offset.len() == self.path_of_edge.len() + 1
+    }
+
     /// Worst-case insertion loss (paper Eq. 3) of the cached mapping.
     #[must_use]
     pub fn worst_case_il(&self) -> Db {
         Db(self.worst_il)
     }
 
-    /// Worst-case SNR (paper Eq. 4) of the cached mapping.
+    /// Worst-case SNR (paper Eq. 4) of the cached mapping. Debug builds
+    /// assert a complete state: an IL-only state never computed it.
     #[must_use]
     pub fn worst_case_snr(&self) -> Db {
+        debug_assert!(
+            self.has_crosstalk(),
+            "worst_case_snr needs a complete state, not an IL-only one"
+        );
         Db(self.worst_snr)
     }
 
     /// Number of edges whose metrics are cached.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.noise.len()
+        self.il.len()
     }
 
     /// Total router occupancies of the cached mapping (the sum of all
-    /// path lengths) — the `Σ hops` term of the evaluation cost.
+    /// path lengths) — the `Σ hops` term of the evaluation cost; 0 for
+    /// an IL-only state.
     #[must_use]
     pub fn hop_count(&self) -> usize {
         self.acc.len()
     }
 
     /// Materializes full [`NetworkMetrics`] from the cached state.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an IL-only state (it holds no per-edge SNRs).
     #[must_use]
     pub fn to_metrics(&self) -> NetworkMetrics {
+        assert!(
+            self.has_crosstalk(),
+            "to_metrics needs a complete state, not an IL-only one"
+        );
         NetworkMetrics {
             edges: (0..self.noise.len())
                 .map(|e| super::EdgeMetrics {
@@ -447,6 +497,12 @@ pub struct DeltaScratch {
     patched_tiles: Vec<usize>,
     patched_lists: Vec<Vec<Occ>>,
     changed_occs: Vec<Vec<(u32, u16)>>,
+    /// The flat per-hop stores [`Evaluator::apply_move`] rebuilds into,
+    /// swapped with the state's on every commit so neither side
+    /// reallocates once warm.
+    spare_offset: Vec<usize>,
+    spare_acc: Vec<f64>,
+    spare_suffix: Vec<f64>,
 }
 
 impl DeltaScratch {
@@ -524,7 +580,9 @@ impl DeltaScratch {
 impl Evaluator {
     /// Full evaluation that also builds the caches incremental scoring
     /// needs. The resulting metrics are identical to
-    /// [`Evaluator::evaluate`].
+    /// [`Evaluator::evaluate`]. Allocates a fresh state; a cursor that
+    /// moves between mappings should refill one with
+    /// [`Evaluator::init_state_into`].
     ///
     /// # Panics
     ///
@@ -532,36 +590,52 @@ impl Evaluator {
     /// [`Evaluator::evaluate`] does).
     #[must_use]
     pub fn init_state(&self, mapping: &Mapping) -> EvalState {
-        assert_eq!(
-            mapping.tile_count(),
-            self.tile_count,
-            "mapping built for a different topology"
-        );
+        let mut state = EvalState::default();
+        self.init_state_into(mapping, &mut state);
+        state
+    }
+
+    /// [`Evaluator::init_state`] into an existing state: clears and
+    /// refills its buffers (the per-tile occupancy lists included), so
+    /// the result equals a fresh `init_state` field for field whatever
+    /// the state held before — another mapping, another problem size,
+    /// or the IL-only form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
+    pub fn init_state_into(&self, mapping: &Mapping, state: &mut EvalState) {
+        self.fill_paths(mapping, state);
         let edges = self.edge_endpoints.len();
-        let path_of_edge: Vec<usize> = self
-            .edge_endpoints
-            .iter()
-            .map(|&(s, d)| {
-                let st = mapping.tile_of_task(s).0;
-                let dt = mapping.tile_of_task(d).0;
-                st * self.tile_count + dt
-            })
-            .collect();
-        let edge_paths: Vec<&PathInfo> = path_of_edge.iter().map(|&p| self.path(p)).collect();
-        let mut hop_offset = Vec::with_capacity(edges + 1);
+        let EvalState {
+            path_of_edge,
+            hop_offset,
+            acc,
+            suffix,
+            noise,
+            snr,
+            tile_hops,
+            worst_snr,
+            ..
+        } = state;
+        hop_offset.clear();
         let mut total_hops = 0usize;
-        for path in &edge_paths {
+        for &p in path_of_edge.iter() {
             hop_offset.push(total_hops);
-            total_hops += path.hops.len();
+            total_hops += self.path(p).hops.len();
         }
         hop_offset.push(total_hops);
 
         // Same insertion order as the full pass: edge-major, then hop.
-        let mut suffix = vec![0.0f64; total_hops];
-        let mut tile_hops: Vec<Vec<Occ>> = vec![Vec::new(); self.tile_count];
-        for (e, path) in edge_paths.iter().enumerate() {
+        suffix.clear();
+        suffix.resize(total_hops, 0.0);
+        for list in tile_hops.iter_mut() {
+            list.clear();
+        }
+        tile_hops.resize_with(self.tile_count, Vec::new);
+        for (e, &p) in path_of_edge.iter().enumerate() {
             let (src, dst) = self.edge_endpoints[e];
-            for (h, hop) in path.hops.iter().enumerate() {
+            for (h, hop) in self.path(p).hops.iter().enumerate() {
                 suffix[hop_offset[e] + h] = hop.suffix;
                 tile_hops[hop.tile].push(Occ {
                     edge: e as u32,
@@ -575,49 +649,90 @@ impl Evaluator {
         }
 
         // Same accumulation order as the full pass: tiles ascending,
-        // victims and aggressors in list order.
-        let mut acc_store = vec![0.0f64; total_hops];
-        let mut noise = vec![0.0f64; edges];
-        for hops_here in &tile_hops {
+        // victims and aggressors in list order. Victims with no coupling
+        // partner among the pairs present would accumulate an exact 0.0,
+        // which the zeroed stores already hold — skipping them is
+        // bit-identical (as in `evaluate_into`).
+        acc.clear();
+        acc.resize(total_hops, 0.0);
+        noise.clear();
+        noise.resize(edges, 0.0);
+        for hops_here in tile_hops.iter() {
             if hops_here.len() < 2 {
                 continue;
             }
+            let present = hops_here.iter().fold(0u32, |m, o| m | 1 << o.pair);
             for occ in hops_here {
-                let (ve, vh) = (occ.edge as usize, occ.hop as usize);
-                let acc = self.aggressor_sum(ve, occ.pair, hops_here);
-                let flat = hop_offset[ve] + vh;
-                acc_store[flat] = acc;
-                noise[ve] += acc * suffix[flat];
+                if self.row_mask[occ.pair as usize] & present == 0 {
+                    continue;
+                }
+                let sum =
+                    self.aggressor_sum_packed(occ.edge, occ.pair, occ.src, occ.dst, hops_here);
+                let ve = occ.edge as usize;
+                let flat = hop_offset[ve] + occ.hop as usize;
+                acc[flat] = sum;
+                noise[ve] += sum * suffix[flat];
             }
         }
 
-        let mut il = Vec::with_capacity(edges);
-        let mut snr = Vec::with_capacity(edges);
-        let mut worst_il = 0.0f64;
-        let mut worst_snr = f64::INFINITY;
-        for (e, path) in edge_paths.iter().enumerate() {
-            let edge_il = path.total_db;
-            let edge_snr = self.snr_of(path.total_gain, noise[e]);
-            worst_il = worst_il.min(edge_il);
-            worst_snr = worst_snr.min(edge_snr);
-            il.push(edge_il);
+        snr.clear();
+        let mut worst = f64::INFINITY;
+        for (e, &p) in path_of_edge.iter().enumerate() {
+            let edge_snr = self.snr_of(self.path(p).total_gain, noise[e]);
+            worst = worst.min(edge_snr);
             snr.push(edge_snr);
         }
-        if edges == 0 {
-            worst_snr = self.snr_ceiling.0;
+        *worst_snr = if edges == 0 {
+            self.snr_ceiling.0
+        } else {
+            worst
+        };
+    }
+
+    /// Fills `state` in its IL-only form for `mapping`: per-edge path
+    /// indices and insertion losses plus the worst case — `O(edges)`
+    /// table lookups, no crosstalk. This is all the loss-family
+    /// objectives read, and all the loss peeks
+    /// ([`Evaluator::evaluate_delta_loss`],
+    /// [`Evaluator::evaluate_delta_loss_bounded`]) and the loss commit
+    /// ([`Evaluator::apply_loss_move`]) use. The crosstalk buffers are
+    /// emptied but keep their capacity, so a later
+    /// [`Evaluator::init_state_into`] refills them without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mapping` does not match the topology.
+    pub fn init_loss_state_into(&self, mapping: &Mapping, state: &mut EvalState) {
+        self.fill_paths(mapping, state);
+        state.hop_offset.clear();
+        state.acc.clear();
+        state.suffix.clear();
+        state.noise.clear();
+        state.snr.clear();
+        for list in &mut state.tile_hops {
+            list.clear();
         }
-        EvalState {
-            path_of_edge,
-            hop_offset,
-            acc: acc_store,
-            suffix,
-            noise,
-            il,
-            snr,
-            tile_hops,
-            worst_il,
-            worst_snr,
+        // Never read (see `EvalState::worst_case_snr`); a fixed value
+        // keeps refilled and fresh IL-only states equal.
+        state.worst_snr = 0.0;
+    }
+
+    /// The part both state forms share: `path_of_edge`, the per-edge
+    /// insertion losses and their worst case ([`worst_il_of`]).
+    fn fill_paths(&self, mapping: &Mapping, state: &mut EvalState) {
+        assert_eq!(
+            mapping.tile_count(),
+            self.tile_count,
+            "mapping built for a different topology"
+        );
+        state.path_of_edge.clear();
+        state.il.clear();
+        for &(s, d) in &self.edge_endpoints {
+            let p = mapping.tile_of_task(s).0 * self.tile_count + mapping.tile_of_task(d).0;
+            state.path_of_edge.push(p);
+            state.il.push(self.path(p).total_db);
         }
+        state.worst_il = worst_il_of(state.il.iter().copied());
     }
 
     pub(super) fn path(&self, idx: usize) -> &PathInfo {
@@ -763,6 +878,10 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
+        debug_assert!(
+            state.has_crosstalk(),
+            "SNR deltas need a complete crosstalk state (init_state), not an IL-only one"
+        );
         let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, false);
         ScoreDelta {
             old_worst_il: Db(state.worst_il),
@@ -794,13 +913,30 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> (Db, usize) {
+        if !self.loss_collect_moved(state, mapping, mv, scratch) {
+            return (Db(state.worst_il), 0);
+        }
+        (Db(self.loss_scan(state, scratch)), scratch.moved.len())
+    }
+
+    /// The loss paths' phase 1: starts a scratch epoch and marks the
+    /// edges `mv` moves, with their new path indices. Returns `false`
+    /// for neutral moves (free↔free or identity) and edgeless graphs,
+    /// where nothing changes.
+    fn loss_collect_moved(
+        &self,
+        state: &EvalState,
+        mapping: &Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) -> bool {
         let edges = self.edge_endpoints.len();
         let tasks = mapping.task_count();
         scratch.begin(edges, self.tile_count, state.acc.len());
 
         let (a, b) = mv.positions(mapping);
         if a == b || a >= tasks || edges == 0 {
-            return (Db(state.worst_il), 0);
+            return false;
         }
         let perm = mapping.permutation();
         let task_b = if b < tasks { Some(b) } else { None };
@@ -823,16 +959,63 @@ impl Evaluator {
                 }
             }
         }
-        let mut worst_il = 0.0f64;
-        for e in 0..edges {
-            let il = if scratch.is_moved(e) {
+        true
+    }
+
+    /// The new worst-case insertion loss after the marked move: the
+    /// exhaustive `O(edges)` min-scan over new (moved) and cached
+    /// (unmoved) losses.
+    fn loss_scan(&self, state: &EvalState, scratch: &DeltaScratch) -> f64 {
+        worst_il_of((0..self.edge_endpoints.len()).map(|e| {
+            if scratch.is_moved(e) {
                 self.path(scratch.new_path[e]).total_db
             } else {
                 state.il[e]
-            };
-            worst_il = worst_il.min(il);
+            }
+        }))
+    }
+
+    /// Commits `mv` on an IL-only state (see
+    /// [`Evaluator::init_loss_state_into`]): updates `mapping`, the
+    /// moved edges' paths and losses, and the worst case — nothing
+    /// else, since loss-family objectives read nothing else. Returns
+    /// the new worst-case insertion loss. Debug builds assert the
+    /// result against a fresh IL-only fill of the moved mapping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the move is out of range for `mapping`.
+    pub fn apply_loss_move(
+        &self,
+        state: &mut EvalState,
+        mapping: &mut Mapping,
+        mv: Move,
+        scratch: &mut DeltaScratch,
+    ) -> Db {
+        debug_assert!(
+            !state.has_crosstalk(),
+            "apply_loss_move commits IL-only states; a complete state needs apply_move"
+        );
+        if self.loss_collect_moved(state, mapping, mv, scratch) {
+            state.worst_il = self.loss_scan(state, scratch);
+            for &e in &scratch.moved {
+                let p = scratch.new_path[e];
+                state.path_of_edge[e] = p;
+                state.il[e] = self.path(p).total_db;
+            }
         }
-        (Db(worst_il), scratch.moved.len())
+        mapping.apply_move(mv);
+        debug_assert!(
+            {
+                let mut fresh = EvalState::default();
+                self.init_loss_state_into(mapping, &mut fresh);
+                fresh.path_of_edge == state.path_of_edge
+                    && fresh.il == state.il
+                    && fresh.worst_il.to_bits() == state.worst_il.to_bits()
+            },
+            "IL-only state diverged from a fresh IL pass after {mv:?}"
+        );
+        Db(state.worst_il)
     }
 
     /// Scores a batch of candidate moves in parallel (the R-PBLA
@@ -906,38 +1089,12 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedLossDelta {
-        let edges = self.edge_endpoints.len();
-        let tasks = mapping.task_count();
-        scratch.begin(edges, self.tile_count, state.acc.len());
-
-        let (a, b) = mv.positions(mapping);
-        if a == b || a >= tasks || edges == 0 {
+        if !self.loss_collect_moved(state, mapping, mv, scratch) {
             // Neutral move: the exact value is free.
             return BoundedLossDelta::Exact {
                 new_worst_il: Db(state.worst_il),
                 moved_edges: 0,
             };
-        }
-        let perm = mapping.permutation();
-        let task_b = if b < tasks { Some(b) } else { None };
-        let new_tile = |task: usize| -> usize {
-            if task == a {
-                perm[b].0
-            } else if Some(task) == task_b {
-                perm[a].0
-            } else {
-                perm[task].0
-            }
-        };
-        for &t in [Some(a), task_b].iter().flatten() {
-            for &e in &self.task_edges[t] {
-                if scratch.moved_mark[e] != scratch.epoch {
-                    scratch.moved_mark[e] = scratch.epoch;
-                    scratch.moved.push(e);
-                    let (s, d) = self.edge_endpoints[e];
-                    scratch.new_path[e] = new_tile(s) * self.tile_count + new_tile(d);
-                }
-            }
         }
         // Admissible bound, O(moved): the new worst case is at most the
         // minimum new IL over moved edges, and — when the current worst
@@ -959,19 +1116,10 @@ impl Evaluator {
                 cost: scratch.moved.len(),
             };
         }
-        // Verify: the exhaustive scan, with the same expressions as
-        // `evaluate_delta_loss` (bit-identical exact value).
-        let mut worst_il = 0.0f64;
-        for e in 0..edges {
-            let il = if scratch.is_moved(e) {
-                self.path(scratch.new_path[e]).total_db
-            } else {
-                state.il[e]
-            };
-            worst_il = worst_il.min(il);
-        }
+        // Verify: the exhaustive scan `evaluate_delta_loss` runs
+        // (bit-identical exact value).
         BoundedLossDelta::Exact {
-            new_worst_il: Db(worst_il),
+            new_worst_il: Db(self.loss_scan(state, scratch)),
             moved_edges: scratch.moved.len(),
         }
     }
@@ -1029,6 +1177,10 @@ impl Evaluator {
         scratch: &mut DeltaScratch,
         threshold: Db,
     ) -> BoundedDelta {
+        debug_assert!(
+            state.has_crosstalk(),
+            "SNR deltas need a complete crosstalk state (init_state), not an IL-only one"
+        );
         if !self.delta_collect_moved(state, mapping, mv, scratch) {
             // Neutral move: the exact delta is free.
             return BoundedDelta::Exact(ScoreDelta {
@@ -1230,6 +1382,10 @@ impl Evaluator {
         mv: Move,
         scratch: &mut DeltaScratch,
     ) -> ScoreDelta {
+        debug_assert!(
+            state.has_crosstalk(),
+            "SNR deltas need a complete crosstalk state (init_state), not an IL-only one"
+        );
         let (new_worst_il, new_worst_snr) = self.compute_delta(state, mapping, mv, scratch, true);
         let delta = ScoreDelta {
             old_worst_il: Db(state.worst_il),
@@ -1246,10 +1402,14 @@ impl Evaluator {
                 state.tile_hops[tile].extend_from_slice(&scratch.patched_lists[slot]);
             }
             // Path lengths may change, so the flat per-hop stores are
-            // rebuilt (edge count is tiny). The assembly reads the *old*
+            // rebuilt (edge count is tiny) into the scratch's spare
+            // buffers and swapped in. The assembly reads the *old*
             // layout, so `path_of_edge`/`hop_offset` are replaced after.
-            let edges = state.noise.len();
-            let mut new_offset = Vec::with_capacity(edges + 1);
+            let edges = state.il.len();
+            let mut new_offset = std::mem::take(&mut scratch.spare_offset);
+            let mut new_acc = std::mem::take(&mut scratch.spare_acc);
+            let mut new_suffix = std::mem::take(&mut scratch.spare_suffix);
+            new_offset.clear();
             let mut total = 0usize;
             for e in 0..edges {
                 new_offset.push(total);
@@ -1261,8 +1421,10 @@ impl Evaluator {
                 total += self.path(p).hops.len();
             }
             new_offset.push(total);
-            let mut new_acc = vec![0.0f64; total];
-            let mut new_suffix = vec![0.0f64; total];
+            new_acc.clear();
+            new_acc.resize(total, 0.0);
+            new_suffix.clear();
+            new_suffix.resize(total, 0.0);
             for e in 0..edges {
                 let dst = new_offset[e];
                 let n = new_offset[e + 1] - dst;
@@ -1290,9 +1452,9 @@ impl Evaluator {
                 state.path_of_edge[e] = p;
                 state.il[e] = self.path(p).total_db;
             }
-            state.hop_offset = new_offset;
-            state.acc = new_acc;
-            state.suffix = new_suffix;
+            scratch.spare_offset = std::mem::replace(&mut state.hop_offset, new_offset);
+            scratch.spare_acc = std::mem::replace(&mut state.acc, new_acc);
+            scratch.spare_suffix = std::mem::replace(&mut state.suffix, new_suffix);
             // Recomputed victims.
             for &v in &scratch.affected {
                 state.noise[v] = scratch.new_noise[v];
@@ -1311,20 +1473,10 @@ impl Evaluator {
     }
 
     /// Debug-only invariant: `state` is bit-identical to a fresh full
-    /// evaluation of `mapping`.
-    fn state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
-        let fresh = self.init_state(mapping);
-        state.path_of_edge == fresh.path_of_edge
-            && state.hop_offset == fresh.hop_offset
-            && state.acc == fresh.acc
-            && state.suffix == fresh.suffix
-            && state.noise == fresh.noise
-            && state.il == fresh.il
-            && state.snr == fresh.snr
-            && state.tile_hops == fresh.tile_hops
-            && state.worst_il == fresh.worst_il
-            && state.worst_snr == fresh.worst_snr
-            && self.evaluate(mapping) == state.to_metrics()
+    /// evaluation of `mapping` — a fresh [`Evaluator::init_state`], and
+    /// the independent [`Evaluator::evaluate_into`] pass.
+    pub(crate) fn state_matches_full_eval(&self, state: &EvalState, mapping: &Mapping) -> bool {
+        *state == self.init_state(mapping) && self.evaluate(mapping) == state.to_metrics()
     }
 
     /// Phase 1 of a delta: starts a scratch epoch and collects the

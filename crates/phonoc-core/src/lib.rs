@@ -18,7 +18,8 @@
 //!   allocating wrapper [`Evaluator::evaluate`];
 //!   [`Evaluator::evaluate_delta`] / [`Evaluator::apply_move`]
 //!   (incremental — see [`evaluator::EvalState`]) plus the
-//!   loss-objective fast path `evaluate_delta_loss` and the
+//!   loss-objective fast path `evaluate_delta_loss` over an IL-only
+//!   state ([`Evaluator::init_loss_state_into`]) and the
 //!   bound-then-verify SNR peek `evaluate_delta_bounded`; and the
 //!   parallel batches ([`Evaluator::evaluate_batch`],
 //!   `evaluate_summaries_batch`, `evaluate_delta_batch`) with

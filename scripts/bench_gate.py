@@ -10,7 +10,7 @@ Usage:
 
 Checks (all *advisory* — the script always exits 0 — unless --strict
 makes any finding fatal, --strict-quality makes the quality findings
-(checks 3, 5, 6 and 7 — deterministic data, not timing) fatal, or an
+(checks 3, 4, 5, 6 and 7 — deterministic data, not timing) fatal, or an
 input file is malformed):
 
 1. Hybrid regression: per scenario, the adaptive peek must stay within
@@ -31,11 +31,15 @@ input file is malformed):
    legitimately trail on plateau-heavy tiny workloads (the committed
    sweep records pipeline-4x4 doing exactly that), so small-mesh rows
    are covered by the baseline drift check instead.
-4. Score drift: per (cell, algo) with an --baseline sweep report and a
-   matching evaluation budget, optimizer scores are deterministic per
-   seed, so a fresh score diverging from the committed one (in either
-   direction) by more than SCORE_DRIFT_DB flags a behavioral change in
-   the search stack.
+4. Score drift (--baseline): every (cell, algo, objective) row present
+   in both the sweep and the baseline must match it exactly —
+   best_score, evaluations, full_evaluations, delta_evaluations and the
+   whole route_mix (fields an older baseline schema lacks are skipped).
+   Search runs are deterministic per seed and the smoke and full sweeps
+   run each row at the same budget, so any difference is a behavioural
+   change; engine optimizations that only move wall time must leave
+   every matched row untouched. A quality finding, so fatal under
+   --strict-quality.
 5. Portfolio quality: on every 12x12+ cell carrying a portfolio row
    (neighborhood == "portfolio"), the exchanged portfolio runs at the
    same *total* budget as each single lane. The pinned claim — fatal
@@ -118,7 +122,6 @@ import sys
 
 GENEROUS_HYBRID_FACTOR = 1.5
 GENEROUS_ANCHOR_FACTOR = 10.0
-SCORE_DRIFT_DB = 0.05
 NEIGHBORHOOD_MESH_FLOOR = 12
 PORTFOLIO_TOLERANCE_DB = 0.05
 PORTFOLIO_WIN_SHARE = 0.80
@@ -349,33 +352,43 @@ def check_power_columns(sweep):
     return findings
 
 
+EXACT_DRIFT_FIELDS = (
+    "best_score",
+    "evaluations",
+    "full_evaluations",
+    "delta_evaluations",
+    "route_mix",
+)
+
+
 def check_score_drift(sweep, baseline):
-    advisories = []
-    committed = {sc["id"]: opt_scores(sc) for sc in baseline.get("scenarios", [])}
-    compared = 0
+    """Check 4: matched (cell, algo, objective) rows must be identical."""
+    findings = []
+    committed = {
+        (sc["id"], o["algo"], row_objective(o)): o
+        for sc in baseline.get("scenarios", [])
+        for o in sc.get("optimizers", [])
+    }
+    matched = 0
     for sc in sweep.get("scenarios", []):
-        base = committed.get(sc["id"])
-        if base is None:
-            continue
-        for algo, (score, evals) in opt_scores(sc).items():
-            if algo not in base:
+        for row in sc.get("optimizers", []):
+            key = (sc["id"], row["algo"], row_objective(row))
+            base = committed.get(key)
+            if base is None:
                 continue
-            base_score, base_evals = base[algo]
-            if evals != base_evals:
-                # Different budgets legitimately score differently.
-                continue
-            compared += 1
-            # Two-sided: determinism means *any* equal-budget difference
-            # (better or worse) is a behavioral change worth knowing.
-            if abs(score - base_score) > SCORE_DRIFT_DB:
-                advisories.append(
-                    f"{sc['id']}/{algo}: score {score:.3f} dB diverges from "
-                    f"committed {base_score:.3f} dB at the same budget "
-                    f"({evals} evals) — optimizer runs are deterministic per "
-                    f"seed, so this is a behavioral change"
-                )
-    print(f"bench_gate: {compared} (cell, algo) score pairs compared to baseline")
-    return advisories
+            matched += 1
+            for field in EXACT_DRIFT_FIELDS:
+                if field in base and row.get(field) != base[field]:
+                    findings.append(
+                        f"{key[0]}/{key[1]} ({key[2]}): {field} "
+                        f"{row.get(field)!r} differs from committed "
+                        f"{base[field]!r} — runs are deterministic per "
+                        f"seed, so this is a behavioural change"
+                    )
+    print(f"bench_gate: {matched} (cell, algo, objective) rows compared to baseline")
+    if matched == 0:
+        findings.append("score drift check matched no rows against the baseline")
+    return findings
 
 
 def check_warmstart(report):
@@ -804,9 +817,9 @@ def main(argv):
         if gaps:
             gap_findings = check_gaps(sweep, baseline)
             quality_advisories += gap_findings
-        advisories += quality_advisories + portfolio_advisories
         if baseline is not None:
-            advisories += check_score_drift(sweep, baseline)
+            quality_advisories += check_score_drift(sweep, baseline)
+        advisories += quality_advisories + portfolio_advisories
         n = len(sweep.get("scenarios", []))
         summary = sweep.get("summary", {})
         print(
@@ -834,7 +847,7 @@ def main(argv):
         if strict_quality and quality_advisories:
             print(
                 "bench_gate: quality claim (neighborhood/portfolio/power/"
-                "gaps/warm-start/parallel/trace) violated — fatal"
+                "gaps/score drift/warm-start/parallel/trace) violated — fatal"
             )
             return 1
         print("bench_gate: advisory mode — not failing the build")
